@@ -101,13 +101,16 @@ def _checked_range(value: float, lo: float, hi: float, tol: TolerancePolicy, lab
 def configuration_constant(system: SubspaceSystem, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     """kappa = || mean of the projectors - projector onto the intersection ||.
 
+    Computed through the Gramian: the mean minus P_M is R R^T / N for the
+    stacked reduced bases R = [R_1 ... R_N], so kappa = lambda_max(R^T R)/N.
     Lies in [1/N, 1]; the degenerate (all-equal) family gets 1/N by the
     empty-supremum convention.
     """
     n = system.n_subspaces
     if system.degenerate:
         return 1.0 / n
-    kappa = operator_norm(system.mean_projector - system.intersection_projector)
+    stacked = np.hstack([r.basis for r in system.reduced])
+    kappa = float(np.linalg.eigvalsh(stacked.T @ stacked)[-1]) / n
     return _checked_range(kappa, 1.0 / n, 1.0, tol, "configuration constant")
 
 
@@ -172,16 +175,16 @@ def pairwise_dixmier_reduced(system: SubspaceSystem, tol: TolerancePolicy = DEFA
     """Symmetric N x N table of ||P_i~ P_j~|| over the reduced subspaces.
 
     Entry (i, j) is the cosine of the minimal angle between the reduced
-    subspaces i and j; the diagonal is 1 for nonzero reduced subspaces and 0
-    otherwise.
+    subspaces i and j, the norm ||R_i^T R_j|| of the Gram block of their
+    bases; the diagonal is 1 for nonzero reduced subspaces and 0 otherwise.
     """
     n = system.n_subspaces
     table = np.zeros((n, n))
-    red_projectors = [projector(r) for r in system.reduced]
+    bases = [r.basis for r in system.reduced]
     for i in range(n):
         table[i, i] = 1.0 if system.reduced[i].dim else 0.0
         for j in range(i + 1, n):
-            value = operator_norm(red_projectors[i] @ red_projectors[j])
+            value = operator_norm(bases[i].T @ bases[j])
             value = _checked_range(value, 0.0, 1.0, tol, "pairwise Dixmier number")
             table[i, j] = table[j, i] = value
     return table

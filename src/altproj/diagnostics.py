@@ -20,7 +20,7 @@ estimate otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,11 +30,10 @@ from .angles import (
     friedrichs_number,
     inclination,
     pairwise_dixmier_reduced,
-    pairwise_friedrichs,
     prefix_friedrichs,
 )
 from .dynamics import operator_error_norms, random_product_norm, reduced_min_modulus
-from .numerics import DEFAULT_TOL, TolerancePolicy, operator_norm
+from .numerics import DEFAULT_TOL, NumericalFailure, TolerancePolicy
 from .subspace import SubspaceSystem
 
 __all__ = [
@@ -236,7 +235,8 @@ def dichotomy_report(system: SubspaceSystem, budget: InclinationBudget = Inclina
     """Assemble the convergence verdict and its consistency witnesses.
 
     Confirms the finite-dimensional web: c < 1, ||T - P_M|| < 1 and
-    gamma(I - T) > 0 hold together.  Degenerate systems are rejected.
+    gamma(I - T) > 0 hold together, and raises NumericalFailure when they
+    do not.  Degenerate systems are rejected.
     """
     if system.degenerate:
         raise ValueError("degenerate system: all subspaces coincide with the intersection")
@@ -248,7 +248,7 @@ def dichotomy_report(system: SubspaceSystem, budget: InclinationBudget = Inclina
     margin = 1.0 - c
     consistent = c < 1.0 and gap < 1.0 and gamma > 0.0
     if not consistent:
-        raise RuntimeError(
+        raise NumericalFailure(
             f"consistency web broken: c={c}, ||T - P_M||={gap}, gamma={gamma}"
         )
     note = ("uniform geometric convergence holds for every fixed system in finite "

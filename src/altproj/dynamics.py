@@ -5,6 +5,8 @@ random or explicit index schedules, operator-power error norms
 ||T^n - P_M||, the reduced minimum modulus of I - T, norms of arbitrary
 products of projections, and a finite-horizon slow-convergence probe built
 on block-diagonal families of tilted planes.
+Error norms of products use P_j = P_M + R_j R_j^T (R_j the reduced basis)
+and work on the small Gram blocks R_i^T R_j, never on d x d matrices.
 """
 
 from __future__ import annotations
@@ -151,18 +153,36 @@ def iterate_vector(system: SubspaceSystem, x0, schedule: IndexSchedule, n_max: i
     return ConvergenceTrace(steps=np.arange(1, n_max + 1), errors=errors, kind="vector")
 
 
+def _reduced_chain(system: SubspaceSystem, indices) -> np.ndarray:
+    """G = (R_{i_k}^T R_{i_(k-1)}) ... (R_{i_2}^T R_{i_1}) for 1-based indices.
+
+    P_{i_k} ... P_{i_1} - P_M = R_{i_k} G R_{i_1}^T; one index gives G = I.
+    """
+    bases = [system.reduced[i - 1].basis for i in indices]
+    chain = np.eye(bases[0].shape[1])
+    for prev, nxt in zip(bases, bases[1:]):
+        chain = (nxt.T @ prev) @ chain
+    return chain
+
+
 def operator_error_norms(system: SubspaceSystem, n_max: int) -> ConvergenceTrace:
-    """e_n = ||T^n - P_M|| for n = 1..n_max, by repeated dense multiplication."""
+    """e_n = ||T^n - P_M|| for n = 1..n_max, from the reduced Gram blocks.
+
+    With K the reduced chain of 1..N and W = R_1^T R_N, T - P_M = R_N K R_1^T
+    and e_n = ||(K W)^(n-1) K||: every step is an r x r product, and the
+    trace keeps decaying below the round-off of subtracting P_M in R^d.
+    """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    t = cyclic_operator(system)
-    pm = system.intersection_projector
+    n = system.n_subspaces
+    k = _reduced_chain(system, range(1, n + 1))
+    kw = k @ _reduced_chain(system, (n, 1))
     errors = np.empty(n_max)
-    power = t.copy()
-    errors[0] = operator_norm(power - pm)
+    power = k
+    errors[0] = operator_norm(power)
     for i in range(1, n_max):
-        power = power @ t
-        errors[i] = operator_norm(power - pm)
+        power = kw @ power
+        errors[i] = operator_norm(power)
     return ConvergenceTrace(steps=np.arange(1, n_max + 1), errors=errors, kind="operator")
 
 
@@ -181,16 +201,13 @@ def reduced_min_modulus(system: SubspaceSystem, tol: TolerancePolicy = DEFAULT_T
 
 
 def random_product_norm(system: SubspaceSystem, indices, tol: TolerancePolicy = DEFAULT_TOL) -> float:
-    """||P_{i_k} ... P_{i_1} - P_M|| for an explicit index list (1-based)."""
+    """||P_{i_k} ... P_{i_1} - P_M|| for an explicit index list (1-based), from its reduced chain."""
     idx = [int(i) for i in indices]
     if not idx:
         raise ValueError("index list must be nonempty")
     if any(not 1 <= i <= system.n_subspaces for i in idx):
         raise ValueError("indices must lie in 1..N")
-    prod = np.eye(system.ambient_dim)
-    for i in idx:
-        prod = system.projectors[i - 1] @ prod
-    value = operator_norm(prod - system.intersection_projector)
+    value = operator_norm(_reduced_chain(system, idx))
     if value > 1.0 + tol.check_tol:
         raise NumericalFailure(f"product-of-projections gap {value} exceeds 1")
     return min(value, 1.0)

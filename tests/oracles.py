@@ -8,6 +8,7 @@ compares two genuinely different routes to the same number.
 import numpy as np
 
 from altproj.dynamics import cyclic_operator
+from altproj.numerics import operator_norm
 from altproj.subspace import orthogonal_complement
 
 
@@ -94,3 +95,16 @@ def optimal_gram_vectors(system):
             return None
         out.append(m / norm)
     return out
+
+
+def dense_error_norms(system, n_max):
+    """||T^n - P_M|| for n = 1..n_max by repeated dense d x d multiplication."""
+    t = cyclic_operator(system)
+    pm = system.intersection_projector
+    errors = np.empty(n_max)
+    power = t.copy()
+    errors[0] = operator_norm(power - pm)
+    for i in range(1, n_max):
+        power = power @ t
+        errors[i] = operator_norm(power - pm)
+    return errors

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from altproj import diagnostics
 from altproj.angles import configuration_constant, friedrichs_number, prefix_friedrichs
 from altproj.corpus import example3, random_system, tilted_pairs, two_lines
 from altproj.diagnostics import (
@@ -16,6 +17,7 @@ from altproj.diagnostics import (
     remark_product_check,
 )
 from altproj.dynamics import operator_error_norms, reduced_min_modulus
+from altproj.numerics import NumericalFailure
 from altproj.subspace import Subspace, SubspaceSystem
 from cases import coordinate_axes, random_triples_r9
 
@@ -156,6 +158,11 @@ class TestDichotomyReport:
         assert verdict.c < 1.0
         assert verdict.product_gap <= np.sqrt(1.0 - (1.0 - root) ** 2 / n ** 2) + 1e-10
         assert verdict.modulus >= (1.0 - root) ** 2 / (2.0 * n ** 2) - 1e-10
+
+    def test_broken_web_is_a_numerical_failure(self, monkeypatch):
+        monkeypatch.setattr(diagnostics, "reduced_min_modulus", lambda system, tol: 0.0)
+        with pytest.raises(NumericalFailure):
+            dichotomy_report(example3(12))
 
     def test_tilted_family_walks_to_the_boundary(self):
         cs, gaps, moduli = [], [], []

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from altproj.angles import friedrichs_number
-from altproj.corpus import example3, random_system, tilted_pairs, two_lines
+from altproj.corpus import common_core, example3, random_system, tilted_pairs, two_lines
 from altproj.dynamics import (
     IndexSchedule,
     SlowSequence,
@@ -142,6 +142,17 @@ class TestOperatorErrorNorms:
         errors = operator_error_norms(system, 10).errors
         expected = c ** (2 * np.arange(1, 11) - 1)
         assert np.max(np.abs(errors - expected)) <= 1e-8
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pair_errors_follow_odd_powers_deep_tail(self, seed):
+        # a pair with a common line: the law must hold far below the ~1e-14
+        # round-off of subtracting P_M in the ambient space
+        system = common_core(8, (3, 4), 1, seed=seed)
+        assert system.intersection.dim == 1
+        c = friedrichs_number(system)
+        errors = operator_error_norms(system, 100).errors
+        expected = c ** (2 * np.arange(1, 101) - 1)
+        np.testing.assert_allclose(errors, expected, rtol=1e-10, atol=0.0)
 
     def test_orthogonal_system_converges_in_one_pass(self):
         assert operator_error_norms(coordinate_axes(3), 1).errors[0] == pytest.approx(0.0, abs=1e-12)
