@@ -4,17 +4,16 @@ from .angles import (
     AngleReport,
     InclinationBudget,
     InclinationEstimate,
-    ProductSpacePair,
     angle_report,
     configuration_constant,
     dixmier_number,
     friedrichs_number,
     gramian_sample,
     inclination,
+    inclination_bounds,
     pairwise_dixmier_reduced,
     pairwise_friedrichs,
     prefix_friedrichs,
-    product_space,
 )
 from .corpus import FamilySpec, common_core, example3, random_system, tilted_pairs, two_lines
 from .diagnostics import (

@@ -4,16 +4,19 @@ For N subspaces with intersection M the module computes:
 
 * the configuration constant  kappa = || (P_1 + ... + P_N)/N - P_M ||,
 * the joint Friedrichs number c = N/(N-1) * kappa - 1/(N-1)  in [0, 1],
-* the non-reduced pair (c0, kappa0) via the product-space route,
+* the non-reduced pair (c0, kappa0) in closed form: kappa0 = ||P_D P_C||^2
+  on the product space equals the norm of the mean projector, so the pair
+  is (1, 1) when the intersection is nonzero and (c, kappa) otherwise,
 * pairwise angles, prefix angles and Gramian samples,
 * the inclination  l = inf over unit y orthogonal to M of
   max_j dist(y, M_j), estimated by multistart projected subgradient
-  descent and certified against the sandwich
-  1 - sqrt(kappa) <= l-related bounds <= sqrt(2N(1 - sqrt(kappa))).
+  descent and certified against the closed-form sandwich
+  1 - sqrt(kappa) <= l <= min(1, sqrt(2N(1 - sqrt(kappa)))).
 
 Empty-supremum convention: when every reduced subspace is {0} (all
-subspaces equal M) the defining suprema range over an empty set; c and c0
-are reported as 0 and kappa as 1/N, with the degenerate flag raised.
+subspaces equal M) the defining suprema range over an empty set; c is
+reported as 0 and kappa as 1/N, with the degenerate flag raised.  (c0,
+kappa0) follows its closed form: (0, 1/N) when M = {0}, (1, 1) otherwise.
 """
 
 from __future__ import annotations
@@ -29,17 +32,16 @@ __all__ = [
     "AngleReport",
     "InclinationBudget",
     "InclinationEstimate",
-    "ProductSpacePair",
     "angle_report",
     "configuration_constant",
     "dixmier_number",
     "friedrichs_number",
     "gramian_sample",
     "inclination",
+    "inclination_bounds",
     "pairwise_dixmier_reduced",
     "pairwise_friedrichs",
     "prefix_friedrichs",
-    "product_space",
 ]
 
 
@@ -47,8 +49,9 @@ __all__ = [
 class InclinationEstimate:
     """Numerical estimate of the inclination together with certified bounds.
 
-    lower and upper come from the configuration constant; `certified` is set
-    when the optimizer value lands inside [lower - tol, upper + tol].
+    lower and upper are the closed-form sandwich `inclination_bounds` of the
+    configuration constant; `certified` is set when the optimizer value
+    lands inside [lower - tol, upper + tol].
     """
 
     lower: float
@@ -67,15 +70,6 @@ class InclinationBudget:
     step_size: float = 0.5
     smoothing_power: float = 16.0
     seed: int = 0
-
-
-@dataclass(eq=False)
-class ProductSpacePair:
-    """Cartesian product C = M_1 x ... x M_N and the diagonal D inside R^{Nd}."""
-
-    C: Subspace
-    D: Subspace
-    CD: Subspace
 
 
 @dataclass(eq=False)
@@ -120,46 +114,26 @@ def friedrichs_number(system: SubspaceSystem, tol: TolerancePolicy = DEFAULT_TOL
     c = 0 for pairwise orthogonal subspaces, c = 1 exactly when uniform
     geometric convergence of the cyclic projection iteration fails.
     """
-    n = system.n_subspaces
-    kappa = configuration_constant(system, tol)
-    c = (n * kappa - 1.0) / (n - 1.0)
-    return _checked_range(c, 0.0, 1.0, tol, "Friedrichs number")
+    return _friedrichs_from(configuration_constant(system, tol), system.n_subspaces, tol)
 
 
-def product_space(system: SubspaceSystem) -> ProductSpacePair:
-    """Assemble C (block-diagonal), D (diagonal copies) and C ∩ D in R^{Nd}."""
-    d = system.ambient_dim
-    n = system.n_subspaces
-    total = sum(system.dims)
-    c_basis = np.zeros((n * d, total))
-    col = 0
-    for j, s in enumerate(system.subspaces):
-        c_basis[j * d:(j + 1) * d, col:col + s.dim] = s.basis
-        col += s.dim
-    d_basis = np.tile(np.eye(d), (n, 1)) / np.sqrt(n)
-    cd_basis = np.tile(system.intersection.basis, (n, 1)) / np.sqrt(n)
-    return ProductSpacePair(
-        C=Subspace(n * d, c_basis, name="product"),
-        D=Subspace(n * d, d_basis, name="diagonal"),
-        CD=Subspace(n * d, cd_basis, name="product&diagonal"),
-    )
+def _friedrichs_from(kappa: float, n: int, tol: TolerancePolicy) -> float:
+    return _checked_range((n * kappa - 1.0) / (n - 1.0), 0.0, 1.0, tol, "Friedrichs number")
 
 
 def dixmier_number(system: SubspaceSystem, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[float, float]:
     """(c0, kappa0): the non-reduced angle pair.
 
-    kappa0 = ||P_D P_C||^2 in the product space, c0 the affine transform of
-    kappa0.  c0 = 1 whenever the intersection is nonzero, c0 = 0 exactly for
-    pairwise orthogonal subspaces.
+    kappa0 = ||P_D P_C||^2 on the product space R^{Nd}, with C = M_1 x ... x M_N
+    and D the diagonal, equals ||(P_1 + ... + P_N)/N||.  That norm is 1 when
+    the intersection M is nonzero and kappa when M = {0}, so the pair is
+    (1, 1) or (c, kappa); the all-zero family gets (0, 1/N) through the
+    empty-supremum convention of kappa.
     """
-    n = system.n_subspaces
-    if all(s.dim == 0 for s in system.subspaces):
-        return 0.0, 1.0 / n  # empty admissible set
-    pair = product_space(system)
-    kappa0 = operator_norm(projector(pair.D) @ projector(pair.C)) ** 2
-    kappa0 = _checked_range(kappa0, 1.0 / n, 1.0, tol, "non-reduced configuration constant")
-    c0 = (n * kappa0 - 1.0) / (n - 1.0)
-    return _checked_range(c0, 0.0, 1.0, tol, "Dixmier number"), kappa0
+    if system.intersection.dim > 0:
+        return 1.0, 1.0
+    kappa = configuration_constant(system, tol)
+    return _friedrichs_from(kappa, system.n_subspaces, tol), kappa
 
 
 def pairwise_friedrichs(s1: Subspace, s2: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> float:
@@ -267,15 +241,20 @@ def _subgradient_run(coeff_gram: list[np.ndarray], starts: np.ndarray, steps: in
     return float(best_val[winner]), best_c[:, winner]
 
 
+def inclination_bounds(kappa: float, n: int) -> tuple[float, float]:
+    """The paper's sandwich [1 - sqrt(kappa), min(1, sqrt(2N(1 - sqrt(kappa))))] for l."""
+    root = float(np.sqrt(kappa))
+    return max(0.0, 1.0 - root), min(1.0, float(np.sqrt(max(0.0, 2.0 * n * (1.0 - root)))))
+
+
 def inclination(system: SubspaceSystem, budget: InclinationBudget = InclinationBudget(),
                 tol: TolerancePolicy = DEFAULT_TOL) -> InclinationEstimate:
     """Estimate l = min over unit y orthogonal to M of max_j dist(y, M_j).
 
     Multistart projected subgradient descent over the unit sphere of the
-    orthogonal complement of the intersection; the certified interval
-    [1 - sqrt(kappa), sqrt(2N(1 - sqrt(kappa)))] comes from the
-    configuration constant.  Undefined when the intersection is the whole
-    space.
+    orthogonal complement of the intersection; the certified interval is
+    `inclination_bounds` of the configuration constant.  Undefined when the
+    intersection is the whole space.
     """
     comp = orthogonal_complement(system.intersection, tol)
     m = comp.dim
@@ -298,20 +277,20 @@ def inclination(system: SubspaceSystem, budget: InclinationBudget = InclinationB
                                          budget.step_size / 10.0, budget.smoothing_power)
         estimate = min(estimate, polish_val)
 
-    kappa = configuration_constant(system, tol)
-    root = np.sqrt(kappa)
-    lower = max(0.0, 1.0 - root)
-    upper = min(1.0, float(np.sqrt(max(0.0, 2.0 * n * (1.0 - root)))))
+    lower, upper = inclination_bounds(configuration_constant(system, tol), n)
     certified = (lower - tol.check_tol) <= estimate <= (upper + tol.check_tol)
     return InclinationEstimate(lower=lower, upper=upper, estimate=float(estimate), certified=bool(certified))
 
 
 def angle_report(system: SubspaceSystem, budget: InclinationBudget = InclinationBudget(),
                  tol: TolerancePolicy = DEFAULT_TOL) -> AngleReport:
-    """Compute every angle parameter of the system in one pass."""
-    c0, kappa0 = dixmier_number(system, tol)
+    """Compute every angle parameter of the system in one pass.
+
+    c and the closed-form (c0, kappa0) are derived from kappa, not recomputed.
+    """
     kappa = configuration_constant(system, tol)
-    c = friedrichs_number(system, tol)
+    c = _friedrichs_from(kappa, system.n_subspaces, tol)
+    c0, kappa0 = (1.0, 1.0) if system.intersection.dim > 0 else (c, kappa)
     table = pairwise_dixmier_reduced(system, tol)
     prefix = prefix_friedrichs(system, tol)
     if system.intersection.dim == system.ambient_dim:

@@ -62,7 +62,9 @@ def load_system(text: str) -> SubspaceSystem:
         raise ValueError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict) or "dim" not in doc or "subspaces" not in doc:
         raise ValueError('system file needs "dim" and "subspaces" keys')
-    dim = int(doc["dim"])
+    dim = doc["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise ValueError('"dim" must be an integer')
     if dim < 1:
         raise ValueError("dim must be >= 1")
     entries = doc["subspaces"]
@@ -70,8 +72,14 @@ def load_system(text: str) -> SubspaceSystem:
         raise ValueError("system file needs at least two subspaces")
     subs = []
     for entry in entries:
+        if not isinstance(entry, dict):
+            raise ValueError('each subspace must be an object with "name" and "vectors"')
         vectors = entry.get("vectors", [])
+        if not isinstance(vectors, list):
+            raise ValueError('"vectors" must be a list of vector rows')
         for row in vectors:
+            if not isinstance(row, list) or not all(isinstance(x, (int, float)) for x in row):
+                raise ValueError("every vector row must be a list of numbers")
             if len(row) != dim:
                 raise ValueError("every vector row must have length dim")
         subs.append(Subspace.from_vectors(vectors, ambient_dim=dim, name=str(entry.get("name", ""))))
@@ -204,8 +212,8 @@ def _cmd_bounds(args) -> int:
         if measured.ndim == 0:
             entry["measured"] = float(measured)
             entry["bound"] = float(bound)
-        elif measured.shape[0] == args.iters and check.name in ("corMain", "DeHu"):
-            steps = np.arange(1, args.iters + 1)
+        elif check.name in ("corMain", "DeHu"):
+            steps = np.arange(1, measured.shape[0] + 1)
             series.setdefault("measured_series", measured)
             series[check.name] = bound
         entries.append(entry)
@@ -227,8 +235,6 @@ def _cmd_probe_slow(args) -> int:
             seq = SlowSequence.explicit([float(tok) for tok in handle.read().split()])
     else:
         raise ValueError(f"unknown --seq form {args.seq!r}; use pow:<p>, log or file:<path>")
-    if args.rule != "inv-k":
-        raise ValueError("only the inv-k angle rule is available from the command line")
     angles = 1.0 / np.arange(1, args.k + 1)
     result = slow_vector_probe(angles, seq, args.horizon)
     payload = {
@@ -284,7 +290,6 @@ def _build_parser() -> _Parser:
 
     probe = sub.add_parser("probe-slow", help="finite-horizon slow-convergence probe")
     probe.add_argument("--k", type=int, required=True)
-    probe.add_argument("--rule", default="inv-k")
     probe.add_argument("--seq", default="pow:0.5", help="pow:<p>, log, or file:<path>")
     probe.add_argument("--horizon", type=int, required=True)
     probe.add_argument("--trace", help="CSV path for the error-versus-target trace")

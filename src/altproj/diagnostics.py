@@ -12,10 +12,10 @@ so near-violations caused by round-off stay visible.  Covered bounds:
 * ``eqQua``      l^2/(2 N^2) <= gamma(I - T) <= (2^N - 1) l,
 * ``remarkK``    ||P_{i_k} ... P_{i_1} - P_M|| <= sqrt(1 - l^2/k^2).
 
-Bounds involving the inclination l substitute a certified endpoint in the
-direction that keeps the inequality valid: the lower endpoint
-1 - sqrt(kappa) where a smaller l weakens the bound, an explicit upper
-estimate otherwise.
+Bounds involving the inclination l substitute an endpoint of the
+closed-form sandwich `inclination_bounds` in the direction that keeps the
+inequality valid: the lower endpoint 1 - sqrt(kappa) where a smaller l
+weakens the bound, the upper endpoint otherwise.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import (
-    InclinationBudget,
     configuration_constant,
     friedrichs_number,
-    inclination,
+    inclination_bounds,
     pairwise_dixmier_reduced,
     prefix_friedrichs,
 )
@@ -189,7 +188,7 @@ def eq_norm_check(system: SubspaceSystem, ell_lower: float | None = None,
     """||T - P_M|| <= sqrt(1 - l^2/N^2), with a certified lower endpoint for l."""
     n = system.n_subspaces
     if ell_lower is None:
-        ell_lower = max(0.0, 1.0 - np.sqrt(configuration_constant(system, tol)))
+        ell_lower = inclination_bounds(configuration_constant(system, tol), n)[0]
     measured = float(operator_error_norms(system, 1).errors[0])
     bound = float(np.sqrt(max(0.0, 1.0 - ell_lower ** 2 / n ** 2)))
     return _finish("eqNorm", measured, bound, tol)
@@ -205,12 +204,11 @@ def eq_qua_check(system: SubspaceSystem, ell_lower: float | None = None,
     constant), so each inequality stays valid under the substitution.
     """
     n = system.n_subspaces
-    kappa = configuration_constant(system, tol)
-    root = np.sqrt(kappa)
+    lower, upper = inclination_bounds(configuration_constant(system, tol), n)
     if ell_lower is None:
-        ell_lower = max(0.0, 1.0 - root)
+        ell_lower = lower
     if ell_upper is None:
-        ell_upper = min(1.0, float(np.sqrt(max(0.0, 2.0 * n * (1.0 - root)))))
+        ell_upper = upper
     gamma = reduced_min_modulus(system, tol)
     low = _finish("eqQuaLower", ell_lower ** 2 / (2.0 * n ** 2), gamma, tol)
     high = _finish("eqQuaUpper", gamma, (2.0 ** n - 1.0) * ell_upper, tol)
@@ -224,19 +222,20 @@ def remark_product_check(system: SubspaceSystem, indices, ell_lower: float | Non
     if set(idx) != set(range(1, system.n_subspaces + 1)):
         raise ValueError("the index list must cover every subspace")
     if ell_lower is None:
-        ell_lower = max(0.0, 1.0 - np.sqrt(configuration_constant(system, tol)))
+        ell_lower = inclination_bounds(configuration_constant(system, tol), system.n_subspaces)[0]
     measured = random_product_norm(system, idx, tol)
     bound = float(np.sqrt(max(0.0, 1.0 - ell_lower ** 2 / len(idx) ** 2)))
     return _finish("remarkK", measured, bound, tol)
 
 
-def dichotomy_report(system: SubspaceSystem, budget: InclinationBudget = InclinationBudget(),
-                     tol: TolerancePolicy = DEFAULT_TOL) -> DichotomyVerdict:
+def dichotomy_report(system: SubspaceSystem, tol: TolerancePolicy = DEFAULT_TOL) -> DichotomyVerdict:
     """Assemble the convergence verdict and its consistency witnesses.
 
     Confirms the finite-dimensional web: c < 1, ||T - P_M|| < 1 and
     gamma(I - T) > 0 hold together, and raises NumericalFailure when they
-    do not.  Degenerate systems are rejected.
+    do not.  The inclination interval is the closed-form sandwich
+    `inclination_bounds` of kappa; no optimizer runs.  Degenerate systems
+    are rejected.
     """
     if system.degenerate:
         raise ValueError("degenerate system: all subspaces coincide with the intersection")
@@ -244,7 +243,6 @@ def dichotomy_report(system: SubspaceSystem, budget: InclinationBudget = Inclina
     kappa = configuration_constant(system, tol)
     gap = float(operator_error_norms(system, 1).errors[0])
     gamma = reduced_min_modulus(system, tol)
-    incl = inclination(system, budget, tol)
     margin = 1.0 - c
     consistent = c < 1.0 and gap < 1.0 and gamma > 0.0
     if not consistent:
@@ -259,7 +257,7 @@ def dichotomy_report(system: SubspaceSystem, budget: InclinationBudget = Inclina
         kappa=kappa,
         product_gap=gap,
         modulus=gamma,
-        inclination_interval=(incl.lower, incl.upper),
+        inclination_interval=inclination_bounds(kappa, system.n_subspaces),
         verdict="QUC",
         margin=margin,
         near_asc=bool(margin < NEAR_ASC_MARGIN),

@@ -75,7 +75,9 @@ def orthonormalize(vectors, tol: TolerancePolicy = DEFAULT_TOL, ambient_dim: int
     one vector per row.  The result is d x k with k the numerical rank of
     the input; an empty span yields a d x 0 matrix, never an error.  Inputs
     whose columns are already orthonormal are returned unchanged, so stored
-    bases round-trip exactly through serialization.
+    bases round-trip exactly through serialization; "already orthonormal"
+    never means looser than the default check_tol, the test every
+    `Subspace` basis must pass, whatever the policy.
     """
     if isinstance(vectors, np.ndarray):
         arr = vectors
@@ -107,7 +109,7 @@ def orthonormalize(vectors, tol: TolerancePolicy = DEFAULT_TOL, ambient_dim: int
     d, m = a.shape
     if m <= d:
         gram = a.T @ a
-        if np.linalg.norm(gram - np.eye(m)) <= tol.check_tol:
+        if np.linalg.norm(gram - np.eye(m)) <= min(tol.check_tol, DEFAULT_TOL.check_tol):
             return a.copy()
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:

@@ -5,11 +5,13 @@ closed-form 2x2 eigenvalues and classical Gram-Schmidt, so that each check
 compares two genuinely different routes to the same number.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from altproj.dynamics import cyclic_operator
 from altproj.numerics import operator_norm
-from altproj.subspace import orthogonal_complement
+from altproj.subspace import Subspace, SubspaceSystem, orthogonal_complement
 
 
 def sphere_grid(m, resolution=0.01):
@@ -108,3 +110,31 @@ def dense_error_norms(system, n_max):
         power = power @ t
         errors[i] = operator_norm(power - pm)
     return errors
+
+
+@dataclass(eq=False)
+class ProductSpacePair:
+    """Cartesian product C = M_1 x ... x M_N and the diagonal D inside R^{Nd}."""
+
+    C: Subspace
+    D: Subspace
+    CD: Subspace
+
+
+def product_space(system: SubspaceSystem) -> ProductSpacePair:
+    """Assemble C (block-diagonal), D (diagonal copies) and C ∩ D in R^{Nd}."""
+    d = system.ambient_dim
+    n = system.n_subspaces
+    total = sum(system.dims)
+    c_basis = np.zeros((n * d, total))
+    col = 0
+    for j, s in enumerate(system.subspaces):
+        c_basis[j * d:(j + 1) * d, col:col + s.dim] = s.basis
+        col += s.dim
+    d_basis = np.tile(np.eye(d), (n, 1)) / np.sqrt(n)
+    cd_basis = np.tile(system.intersection.basis, (n, 1)) / np.sqrt(n)
+    return ProductSpacePair(
+        C=Subspace(n * d, c_basis, name="product"),
+        D=Subspace(n * d, d_basis, name="diagonal"),
+        CD=Subspace(n * d, cd_basis, name="product&diagonal"),
+    )

@@ -13,7 +13,6 @@ from altproj.angles import (
     inclination,
     pairwise_dixmier_reduced,
     pairwise_friedrichs,
-    product_space,
 )
 from altproj.corpus import example3, tilted_pairs, two_lines
 from altproj.diagnostics import dehu_check, estimc_check
@@ -34,7 +33,7 @@ from cases import (
     random_pairs_r8,
     random_triples_r9,
 )
-from oracles import circle_min_modulus, grid_inclination
+from oracles import circle_min_modulus, grid_inclination, product_space
 
 RESULTS = []
 

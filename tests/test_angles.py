@@ -9,16 +9,16 @@ from altproj.angles import (
     friedrichs_number,
     gramian_sample,
     inclination,
+    inclination_bounds,
     pairwise_dixmier_reduced,
     pairwise_friedrichs,
     prefix_friedrichs,
-    product_space,
 )
 from altproj.corpus import common_core, example3, random_system, two_lines
 from altproj.numerics import operator_norm
 from altproj.subspace import Subspace, SubspaceSystem, intersection_of, projector
 from cases import common_core_batch, coordinate_axes, grid_corpus, random_triples_r9
-from oracles import grid_inclination, optimal_gram_vectors
+from oracles import grid_inclination, optimal_gram_vectors, product_space
 
 
 def line(direction, d=2, name=""):
@@ -73,6 +73,39 @@ class TestDixmierNumber:
         c0, _ = dixmier_number(system)
         assert c0 == pytest.approx(0.5, abs=1e-10)
         assert abs(c0 - friedrichs_number(system)) <= 1e-10
+
+
+def _dixmier_cases():
+    zero = Subspace.zero(3)
+    cases = [("axes3", coordinate_axes(3)), ("example3", example3(12)),
+             ("full2", SubspaceSystem((Subspace.full(2), Subspace.full(2)))),
+             ("identical_lines", identical_lines()),
+             ("all_zero", SubspaceSystem((zero, zero, zero)))]
+    cases += [(f"r9_{i}", s) for i, s in enumerate(random_triples_r9(20))]
+    cases += [(f"core_{i}", s) for i, s in enumerate(common_core_batch(10))]
+    return [pytest.param(system, id=label) for label, system in cases]
+
+
+@pytest.mark.parametrize("system", _dixmier_cases())
+def test_dixmier_closed_form_matches_product_space(system):
+    c0, kappa0 = dixmier_number(system)
+    n = system.n_subspaces
+    if all(s.dim == 0 for s in system.subspaces):
+        # empty admissible set: the convention, not the norm of a zero operator
+        assert (c0, kappa0) == (0.0, 1.0 / n)
+        return
+    pair = product_space(system)
+    oracle = operator_norm(projector(pair.D) @ projector(pair.C)) ** 2
+    assert abs(kappa0 - oracle) <= 1e-10
+    assert abs(c0 - (n * oracle - 1.0) / (n - 1.0)) <= 1e-10
+
+
+class TestInclinationBounds:
+    def test_closed_form_values(self):
+        assert inclination_bounds(2.0 / 3.0, 3) == pytest.approx((1.0 - np.sqrt(2.0 / 3.0), 1.0), abs=1e-15)
+        assert inclination_bounds(1.0, 3) == (0.0, 0.0)
+        assert inclination_bounds(0.25, 2) == (0.5, 1.0)
+        assert inclination_bounds(0.81, 2) == pytest.approx((0.1, np.sqrt(0.4)), abs=1e-15)
 
 
 class TestProductSpace:

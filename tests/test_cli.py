@@ -43,6 +43,24 @@ class TestSystemFile:
         with pytest.raises(ValueError):
             load_system(doc)
 
+    @pytest.mark.parametrize("doc", [
+        {"dim": 2, "subspaces": [1, 2]},
+        {"dim": 2, "subspaces": [{"vectors": 5}, {"vectors": [[0.0, 1.0]]}]},
+        {"dim": 2, "subspaces": [{"vectors": [5]}, {"vectors": [[0.0, 1.0]]}]},
+        {"dim": 2, "subspaces": [{"vectors": [["a", "b"]]}, {"vectors": [[0.0, 1.0]]}]},
+        {"dim": None, "subspaces": [{"vectors": []}, {"vectors": []}]},
+        {"dim": [2], "subspaces": [{"vectors": []}, {"vectors": []}]},
+        {"dim": float("inf"), "subspaces": [{"vectors": []}, {"vectors": []}]},
+        {"dim": 2.5, "subspaces": [{"vectors": [[1.0, 0.0]]}, {"vectors": [[0.0, 1.0]]}]},
+    ])
+    def test_malformed_schema_exits_one_without_traceback(self, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        result = run_cli("angles", str(path))
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1
+
 
 class TestGen:
     def test_coordinate_example_dimensions(self, tmp_path):
@@ -233,3 +251,8 @@ class TestProbeSlow:
 
     def test_bad_seq_form_exit_one(self):
         assert run_cli("probe-slow", "--k", "2", "--seq", "exp", "--horizon", "5").returncode == 1
+
+    def test_rule_flag_is_gone(self):
+        result = run_cli("probe-slow", "--k", "2", "--rule", "inv-k", "--horizon", "5")
+        assert result.returncode == 1
+        assert "unrecognized arguments: --rule" in result.stderr

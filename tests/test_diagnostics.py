@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from altproj import diagnostics
-from altproj.angles import configuration_constant, friedrichs_number, prefix_friedrichs
+from altproj import angles, diagnostics
+from altproj.angles import configuration_constant, friedrichs_number, inclination, prefix_friedrichs
 from altproj.corpus import example3, random_system, tilted_pairs, two_lines
 from altproj.diagnostics import (
     NEAR_ASC_MARGIN,
@@ -158,6 +158,19 @@ class TestDichotomyReport:
         assert verdict.c < 1.0
         assert verdict.product_gap <= np.sqrt(1.0 - (1.0 - root) ** 2 / n ** 2) + 1e-10
         assert verdict.modulus >= (1.0 - root) ** 2 / (2.0 * n ** 2) - 1e-10
+
+    @pytest.mark.parametrize("system", [example3(12)] + random_triples_r9(6))
+    def test_inclination_interval_equals_the_inclination_sandwich(self, system):
+        est = inclination(system)
+        assert dichotomy_report(system).inclination_interval == (est.lower, est.upper)
+
+    def test_verdict_runs_no_inclination_optimizer(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the verdict must not run the inclination optimizer")
+
+        monkeypatch.setattr(angles, "_subgradient_run", refuse)
+        verdict = dichotomy_report(example3(12))
+        assert verdict.inclination_interval == (pytest.approx(1.0 - np.sqrt(2.0 / 3.0), abs=1e-12), 1.0)
 
     def test_broken_web_is_a_numerical_failure(self, monkeypatch):
         monkeypatch.setattr(diagnostics, "reduced_min_modulus", lambda system, tol: 0.0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from altproj.corpus import common_core, example3, random_system, two_lines
-from altproj.numerics import DEFAULT_TOL, NumericalFailure
+from altproj.numerics import DEFAULT_TOL, NumericalFailure, TolerancePolicy
 from altproj.subspace import (
     Subspace,
     SubspaceSystem,
@@ -23,6 +23,14 @@ class TestSubspace:
     def test_from_vectors_orthonormalizes(self):
         s = Subspace.from_vectors([[1.0, 1.0], [2.0, 2.0]])
         assert s.dim == 1
+
+    def test_from_vectors_honours_a_loose_policy(self):
+        # rows within the loose check_tol of orthonormal are still not a basis
+        # that a Subspace accepts; they must be orthonormalized, not passed on
+        s = Subspace.from_vectors([[1.0, 0.0, 0.0], [1e-6, 1.0, 0.0]],
+                                  tol=TolerancePolicy(check_tol=1e-4))
+        assert s.dim == 2
+        assert np.linalg.norm(s.basis.T @ s.basis - np.eye(2)) <= 1e-12
 
     def test_raw_constructor_requires_orthonormal(self):
         with pytest.raises(ValueError):
