@@ -2,7 +2,6 @@
 
 from .angles import (
     AngleReport,
-    InclinationBudget,
     InclinationEstimate,
     angle_report,
     configuration_constant,
@@ -35,7 +34,6 @@ from .dynamics import (
     IndexSchedule,
     SlowProbeResult,
     SlowSequence,
-    cyclic_operator,
     iterate_vector,
     operator_error_norms,
     random_product_norm,
@@ -54,7 +52,6 @@ from .numerics import (
 from .subspace import (
     Subspace,
     SubspaceSystem,
-    intersection,
     intersection_of,
     orthogonal_complement,
     projector,

@@ -10,7 +10,8 @@ For N subspaces with intersection M the module computes:
 * pairwise angles, prefix angles and Gramian samples,
 * the inclination  l = inf over unit y orthogonal to M of
   max_j dist(y, M_j), estimated by multistart projected subgradient
-  descent and certified against the closed-form sandwich
+  descent on the unit sphere of the span Q of the reduced bases and
+  certified against the closed-form sandwich
   1 - sqrt(kappa) <= l <= min(1, sqrt(2N(1 - sqrt(kappa)))).
 
 Empty-supremum convention: when every reduced subspace is {0} (all
@@ -26,11 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import DEFAULT_TOL, NumericalFailure, TolerancePolicy, operator_norm
-from .subspace import Subspace, SubspaceSystem, intersection_of, orthogonal_complement, projector
+from .subspace import Subspace, SubspaceSystem, intersection_of
 
 __all__ = [
     "AngleReport",
-    "InclinationBudget",
     "InclinationEstimate",
     "angle_report",
     "configuration_constant",
@@ -60,16 +60,14 @@ class InclinationEstimate:
     certified: bool
 
 
-@dataclass(frozen=True)
-class InclinationBudget:
-    """Multistart / iteration parameters for the inclination optimizer."""
-
-    starts: int = 32
-    steps: int = 400
-    polish_steps: int = 200
-    step_size: float = 0.5
-    smoothing_power: float = 16.0
-    seed: int = 0
+# inclination optimizer: random starts, subgradient steps, polish steps from
+# the best start, initial step size, L^p smoothing power, seed of the starts
+_STARTS = 32
+_STEPS = 400
+_POLISH_STEPS = 200
+_STEP_SIZE = 0.5
+_SMOOTHING_POWER = 16.0
+_SEED = 0
 
 
 @dataclass(eq=False)
@@ -137,11 +135,11 @@ def dixmier_number(system: SubspaceSystem, tol: TolerancePolicy = DEFAULT_TOL) -
 
 
 def pairwise_friedrichs(s1: Subspace, s2: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> float:
-    """Cosine of the Friedrichs angle of two subspaces: ||P_2 P_1 - P_meet||."""
+    """Friedrichs cosine ||P_2 P_1 - P_meet||, i.e. ||R_2^T R_1|| for the pair's reduced bases."""
     if s1.ambient_dim != s2.ambient_dim:
         raise ValueError("subspaces must share the ambient dimension")
-    meet = intersection_of([s1, s2], tol)
-    value = operator_norm(projector(s2) @ projector(s1) - projector(meet))
+    r1, r2 = SubspaceSystem((s1, s2), tol).reduced
+    value = operator_norm(r2.basis.T @ r1.basis)
     return _checked_range(value, 0.0, 1.0, tol, "pairwise Friedrichs number")
 
 
@@ -247,34 +245,36 @@ def inclination_bounds(kappa: float, n: int) -> tuple[float, float]:
     return max(0.0, 1.0 - root), min(1.0, float(np.sqrt(max(0.0, 2.0 * n * (1.0 - root)))))
 
 
-def inclination(system: SubspaceSystem, budget: InclinationBudget = InclinationBudget(),
-                tol: TolerancePolicy = DEFAULT_TOL) -> InclinationEstimate:
+def inclination(system: SubspaceSystem, tol: TolerancePolicy = DEFAULT_TOL) -> InclinationEstimate:
     """Estimate l = min over unit y orthogonal to M of max_j dist(y, M_j).
 
-    Multistart projected subgradient descent over the unit sphere of the
-    orthogonal complement of the intersection; the certified interval is
-    `inclination_bounds` of the configuration constant.  Undefined when the
-    intersection is the whole space.
+    A component of y orthogonal to the span Q of the reduced bases only
+    increases each distance, so multistart projected subgradient descent
+    runs on the unit sphere of Q, where dist(Qc, M_j)^2 = c^T S_j c with
+    S_j = I - (R_j^T Q)^T (R_j^T Q); every distance is 1 when Q = {0}.  The
+    certified interval is `inclination_bounds` of kappa.  Undefined when
+    the intersection is the whole space.
     """
-    comp = orthogonal_complement(system.intersection, tol)
-    m = comp.dim
-    if m == 0:
+    if system.intersection.dim == system.ambient_dim:
         raise ValueError("inclination undefined: the intersection is the whole space")
     n = system.n_subspaces
-    coeff = [comp.basis - p @ comp.basis for p in system.projectors]
-    coeff_gram = [a.T @ a for a in coeff]
+    q = system.span.basis
+    m = q.shape[1]
+    blocks = [r.basis.T @ q for r in system.reduced]
+    coeff_gram = [np.eye(m) - b.T @ b for b in blocks]
 
-    if m == 1:
+    if m == 0:
+        estimate = 1.0
+    elif m == 1:
         estimate = float(_inclination_objective(coeff_gram, np.ones((1, 1)))[0])
     else:
-        rng = np.random.default_rng(budget.seed)
+        rng = np.random.default_rng(_SEED)
         structured = [np.linalg.eigh(sum(coeff_gram))[1][:, :2]]
         structured.extend(np.linalg.eigh(s)[1][:, :1] for s in coeff_gram)
-        seeds = np.column_stack([np.hstack(structured), rng.standard_normal((m, max(1, budget.starts)))])
-        estimate, best = _subgradient_run(coeff_gram, seeds, budget.steps,
-                                          budget.step_size, budget.smoothing_power)
-        polish_val, _ = _subgradient_run(coeff_gram, best[:, None], budget.polish_steps,
-                                         budget.step_size / 10.0, budget.smoothing_power)
+        seeds = np.column_stack([np.hstack(structured), rng.standard_normal((m, _STARTS))])
+        estimate, best = _subgradient_run(coeff_gram, seeds, _STEPS, _STEP_SIZE, _SMOOTHING_POWER)
+        polish_val, _ = _subgradient_run(coeff_gram, best[:, None], _POLISH_STEPS,
+                                         _STEP_SIZE / 10.0, _SMOOTHING_POWER)
         estimate = min(estimate, polish_val)
 
     lower, upper = inclination_bounds(configuration_constant(system, tol), n)
@@ -282,8 +282,7 @@ def inclination(system: SubspaceSystem, budget: InclinationBudget = InclinationB
     return InclinationEstimate(lower=lower, upper=upper, estimate=float(estimate), certified=bool(certified))
 
 
-def angle_report(system: SubspaceSystem, budget: InclinationBudget = InclinationBudget(),
-                 tol: TolerancePolicy = DEFAULT_TOL) -> AngleReport:
+def angle_report(system: SubspaceSystem, tol: TolerancePolicy = DEFAULT_TOL) -> AngleReport:
     """Compute every angle parameter of the system in one pass.
 
     c and the closed-form (c0, kappa0) are derived from kappa, not recomputed.
@@ -296,7 +295,7 @@ def angle_report(system: SubspaceSystem, budget: InclinationBudget = Inclination
     if system.intersection.dim == system.ambient_dim:
         incl = None
     else:
-        incl = inclination(system, budget, tol)
+        incl = inclination(system, tol)
     return AngleReport(
         c0=c0,
         c=c,

@@ -9,8 +9,8 @@ Subcommands:
 * ``probe-slow`` finite-horizon slow-convergence construction
 
 All commands are deterministic given their flags.  Exit codes: 0 success or
-informative outcome, 1 usage error (bad flags or malformed input), 2
-numerical failure.
+informative outcome, 1 usage error (bad flags or malformed input, including
+a system file whose "dim" exceeds MAX_DIM), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from .numerics import NumericalFailure
 from .subspace import Subspace, SubspaceSystem
 
 __all__ = ["main", "load_system", "dump_system"]
+
+MAX_DIM = 2**14  # largest "dim" of a system file: one d x d float64 matrix is 2 GiB
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,8 +67,8 @@ def load_system(text: str) -> SubspaceSystem:
     dim = doc["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int):
         raise ValueError('"dim" must be an integer')
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    if not 1 <= dim <= MAX_DIM:
+        raise ValueError(f"dim must lie in 1..{MAX_DIM}, got {dim}")
     entries = doc["subspaces"]
     if not isinstance(entries, list) or len(entries) < 2:
         raise ValueError("system file needs at least two subspaces")

@@ -1,12 +1,12 @@
 """Alternating-projection dynamics: schedules, iterations and error norms.
 
-Covers the cyclic product T = P_N ... P_1, vector iterations along cyclic,
-random or explicit index schedules, operator-power error norms
-||T^n - P_M||, the reduced minimum modulus of I - T, norms of arbitrary
+Covers vector iterations along cyclic, random or explicit index schedules,
+operator-power error norms ||T^n - P_M|| of the cyclic product
+T = P_N ... P_1, the reduced minimum modulus of I - T, norms of arbitrary
 products of projections, and a finite-horizon slow-convergence probe built
 on block-diagonal families of tilted planes.
-Error norms of products use P_j = P_M + R_j R_j^T (R_j the reduced basis)
-and work on the small Gram blocks R_i^T R_j, never on d x d matrices.
+Every route works on the Gram blocks R_i^T R_j and the span Q of the reduced
+bases R_j (P_j = P_M + R_j R_j^T), never on d x d matrices.
 """
 
 from __future__ import annotations
@@ -17,15 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import tilted_pairs
-from .numerics import DEFAULT_TOL, NumericalFailure, TolerancePolicy, operator_norm, restricted_min_singular
-from .subspace import SubspaceSystem, orthogonal_complement
+from .numerics import DEFAULT_TOL, NumericalFailure, TolerancePolicy, operator_norm
+from .subspace import SubspaceSystem
 
 __all__ = [
     "ConvergenceTrace",
     "IndexSchedule",
     "SlowProbeResult",
     "SlowSequence",
-    "cyclic_operator",
     "iterate_vector",
     "operator_error_norms",
     "random_product_norm",
@@ -114,43 +113,40 @@ class ConvergenceTrace:
     kind: str = "vector"
 
 
-def cyclic_operator(system: SubspaceSystem) -> np.ndarray:
-    """The one-pass product T = P_N ... P_2 P_1 (first subspace applied first)."""
-    t = np.eye(system.ambient_dim)
-    for p in system.projectors:
-        t = p @ t
-    return t
-
-
 def iterate_vector(system: SubspaceSystem, x0, schedule: IndexSchedule, n_max: int,
                    tol: TolerancePolicy = DEFAULT_TOL) -> ConvergenceTrace:
     """Run the projection iteration from x0 and record the error to P_M x0.
 
     Cyclic schedules record one error per full pass; random and explicit
-    schedules record one error per projection step.
+    schedules record one error per projection step.  After a step onto M_j
+    the iterate is P_M x0 + R_j a and the error is ||a||; a cyclic pass maps
+    a by K W (see `operator_error_norms`), a step from M_i to M_j by R_j^T R_i.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if schedule.n_subspaces != system.n_subspaces:
         raise ValueError("schedule and system disagree on the number of subspaces")
-    x = np.asarray(x0, dtype=float).reshape(-1).copy()
+    x = np.asarray(x0, dtype=float).reshape(-1)
     if x.shape[0] != system.ambient_dim:
         raise ValueError("x0 must live in the ambient space")
     if not np.isfinite(x).all():
         raise ValueError("x0 must be finite")
-    target = system.intersection_projector @ x
-    errors = np.empty(n_max)
+    bases = [r.basis for r in system.reduced]
+    n = system.n_subspaces
     if schedule.kind == "cyclic":
-        for i in range(n_max):
-            for p in system.projectors:
-                x = p @ x
-            errors[i] = np.linalg.norm(x - target)
+        k = _reduced_chain(system, range(1, n + 1))
+        a = k @ (bases[0].T @ x)
+        steps = [k @ _reduced_chain(system, (n, 1))] * (n_max - 1)
     else:
-        idx = schedule.first(n_max)
-        for i, j in enumerate(idx):
-            x = system.projectors[j - 1] @ x
-            errors[i] = np.linalg.norm(x - target)
-    return ConvergenceTrace(steps=np.arange(1, n_max + 1), errors=errors, kind="vector")
+        idx = schedule.first(n_max) - 1
+        a = bases[idx[0]].T @ x
+        blocks = {(j, i): bases[j].T @ bases[i] for j in range(n) for i in range(n)}
+        steps = [blocks[j, i] for j, i in zip(idx[1:], idx[:-1])]
+    errors = [np.linalg.norm(a)]
+    for step in steps:
+        a = step @ a
+        errors.append(np.linalg.norm(a))
+    return ConvergenceTrace(steps=np.arange(1, n_max + 1), errors=np.array(errors), kind="vector")
 
 
 def _reduced_chain(system: SubspaceSystem, indices) -> np.ndarray:
@@ -191,13 +187,19 @@ def reduced_min_modulus(system: SubspaceSystem, tol: TolerancePolicy = DEFAULT_T
 
     The fixed space of T is exactly the intersection, so the infimum runs
     over the unit sphere of its orthogonal complement; undefined when the
-    intersection is the whole space.
+    intersection is the whole space.  On M^perp, T = R_N K R_1^T vanishes
+    off the span Q of the reduced bases, so the value is
+    sigma_min(I - (Q^T R_N) K (R_1^T Q)), capped at 1 when Q is smaller.
     """
-    comp = orthogonal_complement(system.intersection, tol)
-    if comp.dim == 0:
+    if system.intersection.dim == system.ambient_dim:
         raise ValueError("modulus undefined: the intersection is the whole space")
-    t = cyclic_operator(system)
-    return restricted_min_singular(np.eye(system.ambient_dim) - t, comp.basis, tol)
+    q = system.span.basis
+    gamma = 1.0 if q.shape[1] < system.ambient_dim - system.intersection.dim else np.inf
+    if q.shape[1]:
+        k = _reduced_chain(system, range(1, system.n_subspaces + 1))
+        t = (q.T @ system.reduced[-1].basis) @ k @ (system.reduced[0].basis.T @ q)
+        gamma = min(gamma, float(np.linalg.svd(np.eye(q.shape[1]) - t, compute_uv=False)[-1]))
+    return float(gamma)
 
 
 def random_product_norm(system: SubspaceSystem, indices, tol: TolerancePolicy = DEFAULT_TOL) -> float:

@@ -1,15 +1,18 @@
 """Linear subspaces of R^d, subspace systems, and orthogonal projectors.
 
 A `Subspace` stores an orthonormal basis; a `SubspaceSystem` bundles N >= 2
-subspaces of a common ambient space and eagerly caches the intersection and
-the reduced subspaces (each component intersected with the orthogonal
-complement of the intersection).  Instances are immutable after
-construction, so concurrent reads are safe.
+subspaces of a common ambient space as orthonormal bases only: the
+intersection M, the reduced subspaces (each component intersected with the
+orthogonal complement of M) and, on first use, their span.  As
+P_j = P_M + R_j R_j^T for the reduced basis R_j, no analysis needs a d x d
+projector.  The lazy span is a pure function of the bases, so concurrent
+reads are safe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +31,6 @@ __all__ = [
     "SubspaceSystem",
     "projector",
     "orthogonal_complement",
-    "intersection",
     "intersection_of",
     "reduce_mod_intersection",
 ]
@@ -139,17 +141,14 @@ def intersection_of(subspaces, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
 class SubspaceSystem:
     """An ordered family of N >= 2 subspaces of a common R^d.
 
-    The intersection, its projector, the per-component projectors and the
-    reduced subspaces are computed once at construction.
+    The intersection and the reduced subspaces are computed once at
+    construction; `span` is computed on first use.
     """
 
     subspaces: tuple[Subspace, ...]
     tol: TolerancePolicy = DEFAULT_TOL
     ambient_dim: int = field(init=False)
-    projectors: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    mean_projector: np.ndarray = field(init=False, repr=False)
     intersection: Subspace = field(init=False, repr=False)
-    intersection_projector: np.ndarray = field(init=False, repr=False)
     reduced: tuple[Subspace, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -161,13 +160,8 @@ class SubspaceSystem:
             raise ValueError("subspaces must share the ambient dimension")
         self.subspaces = subs
         self.ambient_dim = d
-        self.projectors = tuple(projector(s) for s in subs)
-        self.mean_projector = sum(self.projectors) / len(subs)
         meet = intersection_of(subs, self.tol)
         self.intersection = meet
-        self.intersection_projector = projector(meet)
-        for cached in (*self.projectors, self.mean_projector, self.intersection_projector):
-            cached.setflags(write=False)
         reduced = []
         for s in subs:
             # containment of the intersection is verified above, so the shaved
@@ -180,7 +174,7 @@ class SubspaceSystem:
             elif meet.dim == 0:
                 basis = s.basis
             else:
-                shaved = s.basis - self.intersection_projector @ s.basis
+                shaved = s.basis - meet.basis @ (meet.basis.T @ s.basis)
                 u, _, _ = np.linalg.svd(shaved, full_matrices=False)
                 basis = u[:, :rank].copy()
             reduced.append(Subspace(d, basis, name=f"{s.name}~" if s.name else ""))
@@ -199,10 +193,14 @@ class SubspaceSystem:
         """True when every subspace equals the intersection (empty suprema)."""
         return all(r.dim == 0 for r in self.reduced)
 
+    @cached_property
+    def span(self) -> Subspace:
+        """Orthonormal basis Q of span(R_1, ..., R_N) inside M^perp.
 
-def intersection(system: SubspaceSystem) -> Subspace:
-    """The cached intersection of the system."""
-    return system.intersection
+        Every P_j - P_M maps into it and vanishes on the rest of M^perp.
+        """
+        stacked = np.hstack([r.basis for r in self.reduced])
+        return Subspace(self.ambient_dim, orthonormalize(stacked.T, self.tol, self.ambient_dim))
 
 
 def reduce_mod_intersection(system: SubspaceSystem) -> SubspaceSystem:

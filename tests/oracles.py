@@ -9,9 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from altproj.dynamics import cyclic_operator
-from altproj.numerics import operator_norm
-from altproj.subspace import Subspace, SubspaceSystem, orthogonal_complement
+from altproj.numerics import operator_norm, restricted_min_singular
+from altproj.subspace import Subspace, SubspaceSystem, orthogonal_complement, projector
 
 
 def sphere_grid(m, resolution=0.01):
@@ -36,7 +35,7 @@ def sphere_grid(m, resolution=0.01):
 def grid_inclination(system, resolution=0.01):
     """Exhaustive-grid value of min over unit y orthogonal to M of max_j dist(y, M_j)."""
     basis = orthogonal_complement(system.intersection).basis
-    residuals = [basis - p @ basis for p in system.projectors]
+    residuals = [basis - projector(s) @ basis for s in system.subspaces]
     points = sphere_grid(basis.shape[1], resolution)
     values = np.max([np.linalg.norm(a @ points, axis=0) for a in residuals], axis=0)
     return float(values.min())
@@ -86,12 +85,13 @@ def optimal_gram_vectors(system):
     sum_j (P_j - P_M)/N: the normalized components (P_j - P_M) y realize the
     supremum.  Returns None when some component vanishes.
     """
-    avg = sum(system.projectors) / system.n_subspaces - system.intersection_projector
+    pm = projector(system.intersection)
+    avg = sum(projector(s) for s in system.subspaces) / system.n_subspaces - pm
     _, vecs = np.linalg.eigh(avg)
     y = vecs[:, -1]
     out = []
-    for p in system.projectors:
-        m = p @ y - system.intersection_projector @ y
+    for s in system.subspaces:
+        m = projector(s) @ y - pm @ y
         norm = np.linalg.norm(m)
         if norm < 1e-12:
             return None
@@ -99,10 +99,45 @@ def optimal_gram_vectors(system):
     return out
 
 
+def cyclic_operator(system: SubspaceSystem) -> np.ndarray:
+    """The one-pass product T = P_N ... P_2 P_1 (first subspace applied first)."""
+    t = np.eye(system.ambient_dim)
+    for s in system.subspaces:
+        t = projector(s) @ t
+    return t
+
+
+def dense_iterate(system, x0, schedule, n_max):
+    """Errors ||x_n - P_M x0|| of the projection iteration with dense d x d projectors.
+
+    One record per full pass for cyclic schedules, per step otherwise.
+    """
+    projectors = [projector(s) for s in system.subspaces]
+    x = np.asarray(x0, dtype=float).copy()
+    target = projector(system.intersection) @ x
+    errors = np.empty(n_max)
+    if schedule.kind == "cyclic":
+        for i in range(n_max):
+            for p in projectors:
+                x = p @ x
+            errors[i] = np.linalg.norm(x - target)
+    else:
+        for i, j in enumerate(schedule.first(n_max)):
+            x = projectors[j - 1] @ x
+            errors[i] = np.linalg.norm(x - target)
+    return errors
+
+
+def dense_min_modulus(system):
+    """gamma(I - T) as the smallest singular value of I - T on a basis of M^perp."""
+    basis = orthogonal_complement(system.intersection).basis
+    return restricted_min_singular(np.eye(system.ambient_dim) - cyclic_operator(system), basis)
+
+
 def dense_error_norms(system, n_max):
     """||T^n - P_M|| for n = 1..n_max by repeated dense d x d multiplication."""
     t = cyclic_operator(system)
-    pm = system.intersection_projector
+    pm = projector(system.intersection)
     errors = np.empty(n_max)
     power = t.copy()
     errors[0] = operator_norm(power - pm)

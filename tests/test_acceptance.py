@@ -25,7 +25,7 @@ from altproj.dynamics import (
     reduced_min_modulus,
     slow_vector_probe,
 )
-from altproj.subspace import intersection_of, reduce_mod_intersection
+from altproj.subspace import intersection_of, projector, reduce_mod_intersection
 from cases import (
     common_core_batch,
     convergence_corpus,
@@ -215,14 +215,14 @@ def test_criterion_10_convergence_suites():
     for draw in range(200):
         system = systems[draw % len(systems)]
         x = rng.standard_normal(system.ambient_dim)
-        pmx = system.intersection_projector @ x
+        pmx = projector(system.intersection) @ x
         y = x.copy()
-        for p in system.projectors:
+        for p in map(projector, system.subspaces):
             y = p @ y
         gap_sq = np.linalg.norm(y - pmx) ** 2
         u_prev = x - pmx
         z = x.copy()
-        for p in system.projectors:
+        for p in map(projector, system.subspaces):
             z = p @ z
             u_next = z - pmx
             slack = (np.linalg.norm(u_prev) ** 2 - gap_sq) - np.linalg.norm(u_prev - u_next) ** 2

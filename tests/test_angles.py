@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from altproj.angles import (
-    InclinationBudget,
     angle_report,
     configuration_constant,
     dixmier_number,
@@ -126,12 +125,12 @@ class TestProductSpace:
         pair = product_space(system)
         d, n = system.ambient_dim, system.n_subspaces
         block = np.zeros((n * d, n * d))
-        for j, p in enumerate(system.projectors):
-            block[j * d:(j + 1) * d, j * d:(j + 1) * d] = p
+        for j, s in enumerate(system.subspaces):
+            block[j * d:(j + 1) * d, j * d:(j + 1) * d] = projector(s)
         np.testing.assert_allclose(projector(pair.C), block, atol=1e-10)
         np.testing.assert_allclose(projector(pair.D), np.tile(np.eye(d), (n, n)) / n, atol=1e-10)
         np.testing.assert_allclose(projector(pair.CD),
-                                   np.tile(system.intersection_projector, (n, n)) / n, atol=1e-10)
+                                   np.tile(projector(system.intersection), (n, n)) / n, atol=1e-10)
 
     def test_coordinate_example_product_route(self):
         system = example3(12)
@@ -279,10 +278,10 @@ class TestInclination:
         with pytest.raises(ValueError):
             inclination(system)
 
-    def test_budget_is_deterministic(self):
+    def test_is_deterministic(self):
         system = random_system(5, (2, 2), seed=3)
-        a = inclination(system, InclinationBudget(seed=11))
-        b = inclination(system, InclinationBudget(seed=11))
+        a = inclination(system)
+        b = inclination(system)
         assert a.estimate == b.estimate
 
 

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from altproj import cli
 from altproj.angles import angle_report
 from altproj.cli import dump_system, load_system
 from altproj.corpus import example3, two_lines
@@ -60,6 +61,22 @@ class TestSystemFile:
         assert result.returncode == 1
         assert "Traceback" not in result.stderr
         assert len(result.stderr.strip().splitlines()) == 1
+
+    def test_oversized_dim_is_rejected_before_any_allocation(self, tmp_path, monkeypatch, capsys):
+        # in-process, so that a missing guard fails on the patched
+        # constructors instead of allocating d x d matrices
+        def refuse(*args, **kwargs):
+            raise AssertionError("a subspace was built for an oversized dim")
+
+        monkeypatch.setattr(cli.Subspace, "from_vectors", refuse)
+        monkeypatch.setattr(cli, "SubspaceSystem", refuse)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"dim": cli.MAX_DIM + 1, "subspaces": [
+            {"name": "a", "vectors": []}, {"name": "b", "vectors": []}]}))
+        assert cli.main(["angles", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestGen:

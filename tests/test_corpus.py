@@ -3,14 +3,14 @@ import pytest
 
 from altproj.angles import dixmier_number, friedrichs_number
 from altproj.corpus import FamilySpec, common_core, example3, random_system, tilted_pairs, two_lines
-from altproj.subspace import intersection_of
+from altproj.subspace import intersection_of, projector
 
 
 class TestExample3:
     @pytest.mark.parametrize("d", [4, 5, 7, 12, 16])
     def test_projector_sum_is_diagonal_with_three_doubles(self, d):
         system = example3(d)
-        total = sum(system.projectors)
+        total = sum(projector(s) for s in system.subspaces)
         expected = np.eye(d)
         for i in (0, 1, 3):
             expected[i, i] = 2.0

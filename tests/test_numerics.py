@@ -13,6 +13,7 @@ from altproj.numerics import (
     principal_eigenspace,
     restricted_min_singular,
 )
+from altproj.subspace import projector
 from oracles import gram_schmidt, min_singular_2x2
 
 finite_entries = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -95,7 +96,8 @@ class TestOperatorNorm:
 
     def test_mean_projector_of_coordinate_example(self):
         system = example3(12)
-        assert operator_norm(system.mean_projector) == pytest.approx(2.0 / 3.0, abs=1e-12)
+        mean = sum(projector(s) for s in system.subspaces) / system.n_subspaces
+        assert operator_norm(mean) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -163,7 +165,8 @@ class TestPrincipalEigenspace:
 
     def test_mean_projector_has_no_unit_eigenvalue(self):
         system = example3(12)
-        basis = principal_eigenspace(system.mean_projector, 1.0)
+        mean = sum(projector(s) for s in system.subspaces) / system.n_subspaces
+        basis = principal_eigenspace(mean, 1.0)
         assert basis.shape == (12, 0)
 
     def test_non_symmetric_rejected(self):

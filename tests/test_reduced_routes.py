@@ -1,22 +1,28 @@
 """The Gram-block routes against their dense d x d counterparts.
 
-Operator-power traces, covering-product norms, the configuration constant
-and the reduced pairwise table are computed from the small blocks R_i^T R_j
-of the reduced bases; each is compared here with the route that forms the
-d x d projectors.
+Operator-power traces, covering-product norms, the configuration constant,
+the reduced pairwise table, vector iterations and gamma(I - T) are computed
+from the small blocks R_i^T R_j of the reduced bases and from their span Q;
+each is compared here with the route that forms the d x d projectors.
 """
 
 import numpy as np
 import pytest
 
-from altproj import dynamics
-from altproj.angles import configuration_constant, pairwise_dixmier_reduced
+from altproj import angles, dynamics, subspace
+from altproj.angles import configuration_constant, inclination, pairwise_dixmier_reduced
 from altproj.corpus import common_core, example3, random_system, tilted_pairs, two_lines
 from altproj.diagnostics import bound_report
-from altproj.dynamics import operator_error_norms, random_product_norm
-from altproj.numerics import operator_norm
-from altproj.subspace import projector
-from oracles import dense_error_norms
+from altproj.dynamics import (
+    IndexSchedule,
+    iterate_vector,
+    operator_error_norms,
+    random_product_norm,
+    reduced_min_modulus,
+)
+from altproj.numerics import DEFAULT_TOL, operator_norm
+from altproj.subspace import Subspace, SubspaceSystem, projector
+from oracles import dense_error_norms, dense_iterate, dense_min_modulus
 
 TOL = 1e-12
 
@@ -41,7 +47,8 @@ def test_power_trace_matches_dense(system):
 
 
 def test_configuration_constant_matches_dense(system):
-    dense = operator_norm(system.mean_projector - system.intersection_projector)
+    mean = sum(projector(s) for s in system.subspaces) / system.n_subspaces
+    dense = operator_norm(mean - projector(system.intersection))
     assert abs(configuration_constant(system) - dense) <= TOL
 
 
@@ -60,8 +67,8 @@ def test_product_norm_matches_dense(system):
     for indices in ([1], [2, 1], list(range(1, n + 1)), [1, 2, 1, n, 2], list(range(n, 0, -1)) * 3):
         product = np.eye(system.ambient_dim)
         for i in indices:
-            product = system.projectors[i - 1] @ product
-        dense = operator_norm(product - system.intersection_projector)
+            product = projector(system.subspaces[i - 1]) @ product
+        dense = operator_norm(product - projector(system.intersection))
         assert abs(random_product_norm(system, indices) - dense) <= TOL
 
 
@@ -78,3 +85,96 @@ def test_bound_report_norms_stay_in_the_reduced_span(monkeypatch):
     bound_report(system, n_max=100)
     assert len(shapes) >= 200
     assert max(max(shape) for shape in shapes) <= reduced_dim < system.ambient_dim
+
+
+def schedules(n):
+    return [
+        IndexSchedule.cyclic(n),
+        IndexSchedule.random(n, seed=5, coverage_window=n),
+        IndexSchedule.random(n, seed=6, coverage_window=2 * n - 1),
+        IndexSchedule.random(n, seed=7),
+        IndexSchedule.explicit([1, 1, 2, n, 1, n, n, 2] * 10, n),
+    ]
+
+
+def test_iteration_matches_dense(system):
+    x0 = np.random.default_rng(11).standard_normal(system.ambient_dim)
+    for schedule in schedules(system.n_subspaces):
+        errors = iterate_vector(system, x0, schedule, 80).errors
+        np.testing.assert_allclose(errors, dense_iterate(system, x0, schedule, 80),
+                                   rtol=0.0, atol=TOL * np.linalg.norm(x0), err_msg=schedule.kind)
+
+
+def line(direction, d):
+    v = np.asarray(direction, dtype=float)
+    return Subspace(d, (v / np.linalg.norm(v))[:, None])
+
+
+ROTATION = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0]
+
+
+def planes_through_an_axis(theta):
+    """Two planes of R^3 meeting in a line at angle theta, in general position.
+
+    Before the fixed rotation the planes are span(e1, e3) and
+    span((cos theta, sin theta, 0), e3).
+    """
+    tilted = np.array([[1.0, np.cos(theta)], [0.0, np.sin(theta)], [0.0, 0.0]])
+    axis = np.array([[0.0], [0.0], [1.0]])
+    return SubspaceSystem((Subspace(3, ROTATION @ np.hstack([tilted[:, :1], axis])),
+                           Subspace(3, ROTATION @ np.hstack([tilted[:, 1:], axis]))))
+
+
+@pytest.mark.parametrize("build, x0", [
+    (lambda: two_lines(np.pi / 3), [1.0, 0.0]),
+    # the limit P_M x0 is nonzero, so the dense route stops at its round-off
+    (lambda: planes_through_an_axis(np.pi / 3), ROTATION @ [1.0, 0.0, 1.0]),
+], ids=["two-lines", "planes-through-an-axis"])
+def test_iteration_follows_odd_powers_below_roundoff(build, x0):
+    system = build()
+    n = np.arange(1, 101)
+    errors = iterate_vector(system, x0, IndexSchedule.cyclic(2), 100).errors
+    np.testing.assert_allclose(errors, np.cos(np.pi / 3) ** (2 * n - 1), rtol=1e-10, atol=0.0)
+
+
+MODULUS_SYSTEMS = {
+    **{f"pair6-11-{s}": (lambda s=s: random_system(6, (1, 1), seed=s)) for s in range(3)},
+    "core5-22": lambda: common_core(5, (2, 2), 1, seed=4),
+    "same-lines-in-R3": lambda: SubspaceSystem((line([1.0, 2.0, 0.0], 3), line([1.0, 2.0, 0.0], 3))),
+    "line-in-plane": lambda: SubspaceSystem((Subspace(3, np.eye(3)[:, :2]), line([1.0, 1.0, 0.0], 3))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODULUS_SYSTEMS))
+def test_min_modulus_matches_dense_when_span_is_smaller(name):
+    system = MODULUS_SYSTEMS[name]()
+    assert system.span.dim < system.ambient_dim - system.intersection.dim
+    assert abs(reduced_min_modulus(system) - dense_min_modulus(system)) <= TOL
+
+
+def test_min_modulus_matches_dense(system):
+    assert abs(reduced_min_modulus(system) - dense_min_modulus(system)) <= TOL
+
+
+def test_span_is_an_orthonormal_basis_of_the_reduced_subspaces(system):
+    q = system.span.basis
+    stacked = np.hstack([r.basis for r in system.reduced])
+    assert q.shape[1] == np.linalg.matrix_rank(stacked)
+    assert np.linalg.norm(q.T @ q - np.eye(q.shape[1])) <= DEFAULT_TOL.check_tol
+    assert np.linalg.norm(system.intersection.basis.T @ q) <= DEFAULT_TOL.check_tol
+    assert np.linalg.norm(stacked - q @ (q.T @ stacked)) <= DEFAULT_TOL.check_tol
+
+
+@pytest.mark.parametrize("build", [lambda: common_core(8, (3, 4, 3), 1, seed=0),
+                                   lambda: random_system(60, (3, 3, 3), seed=0)], ids=["core8", "thin60"])
+def test_modulus_and_inclination_form_no_dense_matrix(build, monkeypatch):
+    system = build()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a d x d route was taken")
+
+    for module in (subspace, angles, dynamics):
+        monkeypatch.setattr(module, "orthogonal_complement", refuse, raising=False)
+        monkeypatch.setattr(module, "projector", refuse, raising=False)
+    assert 0.0 < reduced_min_modulus(system) <= 1.0
+    assert inclination(system).certified

@@ -6,7 +6,6 @@ from altproj.numerics import DEFAULT_TOL, NumericalFailure, TolerancePolicy
 from altproj.subspace import (
     Subspace,
     SubspaceSystem,
-    intersection,
     intersection_of,
     orthogonal_complement,
     projector,
@@ -79,14 +78,14 @@ class TestProjector:
 class TestIntersection:
     def test_identical_lines(self):
         sys2 = SubspaceSystem((line([1.0, 0.0]), line([1.0, 0.0])))
-        m = intersection(sys2)
+        m = sys2.intersection
         assert m.dim == 1
         np.testing.assert_allclose(np.abs(m.basis[:, 0]), [1.0, 0.0], atol=1e-12)
 
     def test_three_coordinate_axes_meet_trivially(self):
         eye = np.eye(3)
         sys3 = SubspaceSystem(tuple(Subspace(3, eye[:, [j]]) for j in range(3)))
-        assert intersection(sys3).dim == 0
+        assert sys3.intersection.dim == 0
 
     def test_coordinate_example_trivial_intersection(self):
         assert example3(12).intersection.dim == 0
@@ -132,7 +131,7 @@ class TestReduce:
     @pytest.mark.parametrize("seed", range(4))
     def test_reduced_orthogonal_to_intersection(self, seed):
         system = common_core(6, (2, 3), core_dim=1, seed=seed)
-        pm = system.intersection_projector
+        pm = projector(system.intersection)
         for r in system.reduced:
             if r.dim:
                 assert np.linalg.norm(pm @ r.basis) <= 1e-10
@@ -162,8 +161,8 @@ class TestSystemInvariants:
     @pytest.mark.parametrize("seed", range(6))
     def test_intersection_projector_absorbed(self, seed):
         system = common_core(7, (3, 3, 4), core_dim=1, seed=seed)
-        pm = system.intersection_projector
-        for p in system.projectors:
+        pm = projector(system.intersection)
+        for p in map(projector, system.subspaces):
             assert np.linalg.norm(pm @ p - pm) <= 1e-10
             assert np.linalg.norm(p @ pm - pm) <= 1e-10
 
