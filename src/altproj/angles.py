@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import DEFAULT_TOL, NumericalFailure, TolerancePolicy, operator_norm
-from .subspace import Subspace, SubspaceSystem, intersection_of
+from .subspace import Subspace, SubspaceSystem
 
 __all__ = [
     "AngleReport",
@@ -135,12 +135,8 @@ def dixmier_number(system: SubspaceSystem, tol: TolerancePolicy = DEFAULT_TOL) -
 
 
 def pairwise_friedrichs(s1: Subspace, s2: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> float:
-    """Friedrichs cosine ||P_2 P_1 - P_meet||, i.e. ||R_2^T R_1|| for the pair's reduced bases."""
-    if s1.ambient_dim != s2.ambient_dim:
-        raise ValueError("subspaces must share the ambient dimension")
-    r1, r2 = SubspaceSystem((s1, s2), tol).reduced
-    value = operator_norm(r2.basis.T @ r1.basis)
-    return _checked_range(value, 0.0, 1.0, tol, "pairwise Friedrichs number")
+    """Friedrichs cosine ||P_2 P_1 - P_meet||, the reduced-table entry of the pair system (s1, s2)."""
+    return float(pairwise_dixmier_reduced(SubspaceSystem((s1, s2), tol), tol)[0, 1])
 
 
 def pairwise_dixmier_reduced(system: SubspaceSystem, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -165,13 +161,15 @@ def pairwise_dixmier_reduced(system: SubspaceSystem, tol: TolerancePolicy = DEFA
 def prefix_friedrichs(system: SubspaceSystem, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[float, ...]:
     """c_j = pairwise angle of (M_1 ∩ ... ∩ M_{j-1}, M_j) for j = 2..N.
 
-    Prefix intersections reuse the eigenspace route on the leading
-    sub-family.
+    The pair system of (prefix, M_j) holds the next prefix as its
+    intersection, so each prefix intersection is built once.
     """
     values = []
-    for j in range(1, system.n_subspaces):
-        prefix = intersection_of(system.subspaces[:j], tol)
-        values.append(pairwise_friedrichs(prefix, system.subspaces[j], tol))
+    prefix = system.subspaces[0]
+    for s in system.subspaces[1:]:
+        pair = SubspaceSystem((prefix, s), tol)
+        values.append(float(pairwise_dixmier_reduced(pair, tol)[0, 1]))
+        prefix = pair.intersection
     return tuple(values)
 
 

@@ -30,7 +30,7 @@ from .subspace import Subspace, SubspaceSystem
 
 __all__ = ["main", "load_system", "dump_system"]
 
-MAX_DIM = 2**14  # largest "dim" of a system file: one d x d float64 matrix is 2 GiB
+MAX_DIM = 2**14  # largest "dim" of a system file, a sanity bound: no command forms a d x d matrix
 
 
 class _Parser(argparse.ArgumentParser):

@@ -209,7 +209,7 @@ def eq_qua_check(system: SubspaceSystem, ell_lower: float | None = None,
         ell_lower = lower
     if ell_upper is None:
         ell_upper = upper
-    gamma = reduced_min_modulus(system, tol)
+    gamma = reduced_min_modulus(system)
     low = _finish("eqQuaLower", ell_lower ** 2 / (2.0 * n ** 2), gamma, tol)
     high = _finish("eqQuaUpper", gamma, (2.0 ** n - 1.0) * ell_upper, tol)
     return low, high
@@ -242,7 +242,7 @@ def dichotomy_report(system: SubspaceSystem, tol: TolerancePolicy = DEFAULT_TOL)
     c = friedrichs_number(system, tol)
     kappa = configuration_constant(system, tol)
     gap = float(operator_error_norms(system, 1).errors[0])
-    gamma = reduced_min_modulus(system, tol)
+    gamma = reduced_min_modulus(system)
     margin = 1.0 - c
     consistent = c < 1.0 and gap < 1.0 and gamma > 0.0
     if not consistent:

@@ -113,8 +113,7 @@ class ConvergenceTrace:
     kind: str = "vector"
 
 
-def iterate_vector(system: SubspaceSystem, x0, schedule: IndexSchedule, n_max: int,
-                   tol: TolerancePolicy = DEFAULT_TOL) -> ConvergenceTrace:
+def iterate_vector(system: SubspaceSystem, x0, schedule: IndexSchedule, n_max: int) -> ConvergenceTrace:
     """Run the projection iteration from x0 and record the error to P_M x0.
 
     Cyclic schedules record one error per full pass; random and explicit
@@ -182,7 +181,7 @@ def operator_error_norms(system: SubspaceSystem, n_max: int) -> ConvergenceTrace
     return ConvergenceTrace(steps=np.arange(1, n_max + 1), errors=errors, kind="operator")
 
 
-def reduced_min_modulus(system: SubspaceSystem, tol: TolerancePolicy = DEFAULT_TOL) -> float:
+def reduced_min_modulus(system: SubspaceSystem) -> float:
     """gamma(I - T): the smallest ||y - T y|| over unit y orthogonal to M.
 
     The fixed space of T is exactly the intersection, so the infimum runs
@@ -276,8 +275,7 @@ class SlowProbeResult:
     achieved_horizon: int
 
 
-def slow_vector_probe(angles, seq: SlowSequence, horizon: int, decay_floor: float = 0.1,
-                      tol: TolerancePolicy = DEFAULT_TOL) -> SlowProbeResult:
+def slow_vector_probe(angles, seq: SlowSequence, horizon: int, decay_floor: float = 0.1) -> SlowProbeResult:
     """Build a vector whose cyclic-iteration error dominates a_n up to the horizon.
 
     The family is the block-diagonal system of K tilted planes with angles
@@ -316,7 +314,7 @@ def slow_vector_probe(angles, seq: SlowSequence, horizon: int, decay_floor: floa
         alpha *= 1.0 + 1e-9  # strict domination under floating-point ties
         x = tilted_basis @ alpha
 
-    trace = iterate_vector(system, x, IndexSchedule.cyclic(2), horizon, tol)
+    trace = iterate_vector(system, x, IndexSchedule.cyclic(2), horizon)
     trace.bounds["target"] = a
     ok = trace.errors + 1e-12 >= a
     success = bool(ok.all())

@@ -1,8 +1,8 @@
 """Dense linear-algebra primitives with an explicit tolerance policy.
 
-Everything downstream (projectors, angle parameters, iteration traces)
-reduces to four primitives: orthonormalization, operator norm, restricted
-minimum singular value and principal-eigenspace extraction.  All routines
+The analyses need orthonormalization and the operator norm, on bases and
+their Gram blocks; restricted minimum singular value and principal-eigenspace
+extraction act on d x d matrices, for callers that form them.  All routines
 take plain float64 arrays and are pure functions of their inputs.
 """
 
@@ -108,8 +108,9 @@ def orthonormalize(vectors, tol: TolerancePolicy = DEFAULT_TOL, ambient_dim: int
     a = arr.T  # columns are the input vectors, d x m
     d, m = a.shape
     if m <= d:
-        gram = a.T @ a
-        if np.linalg.norm(gram - np.eye(m)) <= min(tol.check_tol, DEFAULT_TOL.check_tol):
+        with np.errstate(over="ignore", invalid="ignore"):  # huge rows: an inf Gram fails the test
+            orthonormal = np.linalg.norm(a.T @ a - np.eye(m)) <= min(tol.check_tol, DEFAULT_TOL.check_tol)
+        if orthonormal:
             return a.copy()
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:

@@ -2,11 +2,12 @@
 
 A `Subspace` stores an orthonormal basis; a `SubspaceSystem` bundles N >= 2
 subspaces of a common ambient space as orthonormal bases only: the
-intersection M, the reduced subspaces (each component intersected with the
-orthogonal complement of M) and, on first use, their span.  As
-P_j = P_M + R_j R_j^T for the reduced basis R_j, no analysis needs a d x d
-projector.  The lazy span is a pure function of the bases, so concurrent
-reads are safe.
+intersection M, read from the singular vectors of the stacked bases, the
+reduced subspaces (each component intersected with the orthogonal
+complement of M) and, on first use, their span.  As P_j = P_M + R_j R_j^T
+for the reduced basis R_j, no analysis forms a d x d matrix; `projector`
+and `orthogonal_complement` do, for callers that want one.  The lazy span
+is a pure function of the bases, so concurrent reads are safe.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .numerics import (
     as_matrix,
     operator_norm,
     orthonormalize,
-    principal_eigenspace,
 )
 
 __all__ = [
@@ -113,10 +113,11 @@ def orthogonal_complement(s: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> Su
 def intersection_of(subspaces, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
     """Common intersection of one or more subspaces.
 
-    Computed as the eigenvalue-1 eigenspace of the averaged projector, the
-    stable symmetric route.  Every basis vector of the result is verified to
-    lie in each component; nearly coincident subspaces whose top eigenvalue
-    falls inside eig_tol without true containment raise NumericalFailure.
+    M is the eigenvalue-1 eigenspace of the mean projector B B^T / N of the
+    stacked bases B = [B_1 ... B_N]: the left singular vectors of B / sqrt(N)
+    with |sigma^2 - 1| <= eig_tol.  Each is verified to lie in every
+    component; nearly coincident subspaces whose sigma^2 falls inside eig_tol
+    without true containment raise NumericalFailure.
     """
     subs = list(subspaces)
     if not subs:
@@ -126,10 +127,11 @@ def intersection_of(subspaces, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
         raise ValueError("subspaces must share the ambient dimension")
     if len(subs) == 1:
         return subs[0]
-    avg = sum(projector(s) for s in subs) / len(subs)
-    basis = principal_eigenspace(avg, 1.0, tol)
+    u, sigma, _ = np.linalg.svd(np.hstack([s.basis for s in subs]) / np.sqrt(len(subs)),
+                                full_matrices=False)
+    basis = u[:, np.abs(sigma ** 2 - 1.0) <= tol.eig_tol]
     for s in subs:
-        if basis.size and operator_norm(basis - projector(s) @ basis) > tol.check_tol:
+        if basis.size and operator_norm(basis - s.basis @ (s.basis.T @ basis)) > tol.check_tol:
             raise NumericalFailure(
                 "intersection basis escapes a component subspace; the configuration "
                 "is below the resolution of the tolerance policy"

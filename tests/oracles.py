@@ -9,7 +9,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from altproj.numerics import operator_norm, restricted_min_singular
+from altproj.numerics import (
+    DEFAULT_TOL,
+    NumericalFailure,
+    TolerancePolicy,
+    operator_norm,
+    principal_eigenspace,
+    restricted_min_singular,
+)
 from altproj.subspace import Subspace, SubspaceSystem, orthogonal_complement, projector
 
 
@@ -97,6 +104,44 @@ def optimal_gram_vectors(system):
             return None
         out.append(m / norm)
     return out
+
+
+def dense_intersection(subspaces, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
+    """Common intersection of one or more subspaces.
+
+    Computed as the eigenvalue-1 eigenspace of the averaged projector, the
+    stable symmetric route.  Every basis vector of the result is verified to
+    lie in each component; nearly coincident subspaces whose top eigenvalue
+    falls inside eig_tol without true containment raise NumericalFailure.
+    """
+    subs = list(subspaces)
+    if not subs:
+        raise ValueError("need at least one subspace")
+    d = subs[0].ambient_dim
+    if any(s.ambient_dim != d for s in subs):
+        raise ValueError("subspaces must share the ambient dimension")
+    if len(subs) == 1:
+        return subs[0]
+    avg = sum(projector(s) for s in subs) / len(subs)
+    basis = principal_eigenspace(avg, 1.0, tol)
+    for s in subs:
+        if basis.size and operator_norm(basis - projector(s) @ basis) > tol.check_tol:
+            raise NumericalFailure(
+                "intersection basis escapes a component subspace; the configuration "
+                "is below the resolution of the tolerance policy"
+            )
+    return Subspace(d, basis)
+
+
+def dense_prefix_friedrichs(system):
+    """||P_j P_prefix - P_meet|| for each prefix M_1 ∩ ... ∩ M_{j-1}, all through d x d projectors."""
+    values = []
+    for j in range(1, system.n_subspaces):
+        prefix = dense_intersection(system.subspaces[:j])
+        meet = dense_intersection((prefix, system.subspaces[j]))
+        product = projector(system.subspaces[j]) @ projector(prefix)
+        values.append(operator_norm(product - projector(meet)))
+    return np.array(values)
 
 
 def cyclic_operator(system: SubspaceSystem) -> np.ndarray:

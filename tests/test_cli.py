@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from altproj import cli
 from altproj.angles import angle_report
@@ -77,6 +81,31 @@ class TestSystemFile:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+
+
+ENTRIES = st.one_of(st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 5e-324, 0.0]),
+                    st.floats(-10.0, 10.0))
+
+
+@st.composite
+def system_documents(draw):
+    dim = draw(st.integers(1, 4))
+    rows = st.lists(st.lists(ENTRIES, min_size=dim, max_size=dim), max_size=3)
+    subspaces = draw(st.lists(st.fixed_dictionaries({"vectors": rows}), min_size=2, max_size=3))
+    return {"dim": dim, "subspaces": subspaces}
+
+
+class TestFuzz:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(deadline=None, max_examples=40)
+    @example(doc={"dim": 2, "subspaces": [{"vectors": [[1e308, 1e308]]}, {"vectors": [[1, 0]]}]})
+    @given(doc=system_documents())
+    def test_any_system_document_exits_cleanly(self, tmp_path_factory, doc):
+        path = tmp_path_factory.getbasetemp() / "fuzz.json"
+        path.write_text(json.dumps(doc))
+        for command in ("angles", "bounds", "iterate"):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main([command, str(path)]) in (0, 1, 2)
 
 
 class TestGen:

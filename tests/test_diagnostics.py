@@ -173,7 +173,7 @@ class TestDichotomyReport:
         assert verdict.inclination_interval == (pytest.approx(1.0 - np.sqrt(2.0 / 3.0), abs=1e-12), 1.0)
 
     def test_broken_web_is_a_numerical_failure(self, monkeypatch):
-        monkeypatch.setattr(diagnostics, "reduced_min_modulus", lambda system, tol: 0.0)
+        monkeypatch.setattr(diagnostics, "reduced_min_modulus", lambda system: 0.0)
         with pytest.raises(NumericalFailure):
             dichotomy_report(example3(12))
 

@@ -2,17 +2,24 @@
 
 Operator-power traces, covering-product norms, the configuration constant,
 the reduced pairwise table, vector iterations and gamma(I - T) are computed
-from the small blocks R_i^T R_j of the reduced bases and from their span Q;
-each is compared here with the route that forms the d x d projectors.
+from the small blocks R_i^T R_j of the reduced bases and from their span Q,
+and the intersection and the prefix angles from the stacked bases; each is
+compared here with the route that forms the d x d projectors.
 """
 
 import numpy as np
 import pytest
 
-from altproj import angles, dynamics, subspace
-from altproj.angles import configuration_constant, inclination, pairwise_dixmier_reduced
+from altproj import angles, diagnostics, dynamics, numerics, subspace
+from altproj.angles import (
+    angle_report,
+    configuration_constant,
+    inclination,
+    pairwise_dixmier_reduced,
+    prefix_friedrichs,
+)
 from altproj.corpus import common_core, example3, random_system, tilted_pairs, two_lines
-from altproj.diagnostics import bound_report
+from altproj.diagnostics import bound_report, dichotomy_report
 from altproj.dynamics import (
     IndexSchedule,
     iterate_vector,
@@ -21,8 +28,14 @@ from altproj.dynamics import (
     reduced_min_modulus,
 )
 from altproj.numerics import DEFAULT_TOL, operator_norm
-from altproj.subspace import Subspace, SubspaceSystem, projector
-from oracles import dense_error_norms, dense_iterate, dense_min_modulus
+from altproj.subspace import Subspace, SubspaceSystem, intersection_of, projector
+from oracles import (
+    dense_error_norms,
+    dense_intersection,
+    dense_iterate,
+    dense_min_modulus,
+    dense_prefix_friedrichs,
+)
 
 TOL = 1e-12
 
@@ -168,13 +181,53 @@ def test_span_is_an_orthonormal_basis_of_the_reduced_subspaces(system):
 @pytest.mark.parametrize("build", [lambda: common_core(8, (3, 4, 3), 1, seed=0),
                                    lambda: random_system(60, (3, 3, 3), seed=0)], ids=["core8", "thin60"])
 def test_modulus_and_inclination_form_no_dense_matrix(build, monkeypatch):
-    system = build()
-
     def refuse(*args, **kwargs):
         raise AssertionError("a d x d route was taken")
 
-    for module in (subspace, angles, dynamics):
-        monkeypatch.setattr(module, "orthogonal_complement", refuse, raising=False)
-        monkeypatch.setattr(module, "projector", refuse, raising=False)
+    for module in (numerics, subspace, angles, dynamics, diagnostics):
+        for name in ("orthogonal_complement", "projector", "principal_eigenspace"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    system = build()
     assert 0.0 < reduced_min_modulus(system) <= 1.0
     assert inclination(system).certified
+    angle_report(system)
+    bound_report(system, n_max=20)
+    dichotomy_report(system)
+
+
+def assert_same_subspace(got, want):
+    assert got.dim == want.dim
+    assert operator_norm(projector(got) - projector(want)) <= TOL
+
+
+def test_intersection_matches_dense(system):
+    assert_same_subspace(intersection_of(system.subspaces), dense_intersection(system.subspaces))
+
+
+@pytest.mark.parametrize("subspaces", [
+    (Subspace.zero(3), Subspace.zero(3)),
+    (Subspace.full(3), Subspace.full(3)),
+    (Subspace.zero(3), Subspace.full(3)),
+    (line([1.0, 2.0, 2.0], 3),),
+    (line([1.0, 2.0, 2.0], 3), Subspace.full(3)),
+], ids=["zero-zero", "full-full", "zero-full", "line-in-R3", "line-and-R3"])
+def test_intersection_edge_cases_match_dense(subspaces):
+    assert_same_subspace(intersection_of(subspaces), dense_intersection(subspaces))
+
+
+def test_prefix_angles_match_dense(system):
+    np.testing.assert_allclose(prefix_friedrichs(system), dense_prefix_friedrichs(system), rtol=0.0, atol=TOL)
+
+
+def test_prefix_angles_build_each_prefix_once(monkeypatch):
+    system = common_core(10, (4, 4, 4, 4), 1, seed=0)
+    calls = []
+
+    def spy(subspaces, tol=DEFAULT_TOL):
+        calls.append(len(subspaces))
+        return intersection_of(subspaces, tol)
+
+    for module in (subspace, angles):
+        monkeypatch.setattr(module, "intersection_of", spy, raising=False)
+    prefix_friedrichs(system)
+    assert calls == [2] * (system.n_subspaces - 1)

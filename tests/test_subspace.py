@@ -94,11 +94,17 @@ class TestIntersection:
         s = line([1.0, 2.0, 0.0], d=3)
         assert intersection_of([s]) is s
 
-    def test_near_coincident_lines_fail_loudly(self):
+    @pytest.mark.parametrize("theta", [1e-5, 1e-4])
+    def test_near_coincident_lines_fail_loudly(self, theta):
         # below the policy's resolution the top eigenvalue is inside eig_tol
         # without true containment
         with pytest.raises(NumericalFailure):
-            two_lines(1e-5)
+            two_lines(theta)
+
+    def test_lines_just_above_the_resolution_floor_meet_trivially(self):
+        # 1 - cos(theta/2)^2 = theta^2/4 = 2.25e-8 clears eig_tol = 1e-8;
+        # at theta = 2e-4 it equals eig_tol, the edge of the bucket
+        assert two_lines(3e-4).intersection.dim == 0
 
 
 class TestReduce:
