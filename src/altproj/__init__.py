@@ -46,16 +46,7 @@ from .numerics import (
     TolerancePolicy,
     operator_norm,
     orthonormalize,
-    principal_eigenspace,
-    restricted_min_singular,
 )
-from .subspace import (
-    Subspace,
-    SubspaceSystem,
-    intersection_of,
-    orthogonal_complement,
-    projector,
-    reduce_mod_intersection,
-)
+from .subspace import Subspace, SubspaceSystem, intersection_of, reduce_mod_intersection
 
 __version__ = "0.1.0"

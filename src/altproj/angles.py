@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import DEFAULT_TOL, NumericalFailure, TolerancePolicy, operator_norm
-from .subspace import Subspace, SubspaceSystem
+from .subspace import Subspace, SubspaceSystem, _derived
 
 __all__ = [
     "AngleReport",
@@ -84,13 +84,14 @@ class AngleReport:
     degenerate: bool
 
 
-def _checked_range(value: float, lo: float, hi: float, tol: TolerancePolicy, label: str) -> float:
-    if value < lo - tol.check_tol or value > hi + tol.check_tol:
+def _checked_range(value: float, lo: float, hi: float, check_tol: float, label: str) -> float:
+    if value < lo - check_tol or value > hi + check_tol:
         raise NumericalFailure(f"{label} = {value} escapes [{lo}, {hi}] beyond tolerance")
     return float(min(hi, max(lo, value)))
 
 
-def configuration_constant(system: SubspaceSystem, tol: TolerancePolicy = DEFAULT_TOL) -> float:
+@_derived
+def configuration_constant(system: SubspaceSystem) -> float:
     """kappa = || mean of the projectors - projector onto the intersection ||.
 
     Computed through the Gramian: the mean minus P_M is R R^T / N for the
@@ -103,23 +104,21 @@ def configuration_constant(system: SubspaceSystem, tol: TolerancePolicy = DEFAUL
         return 1.0 / n
     stacked = np.hstack([r.basis for r in system.reduced])
     kappa = float(np.linalg.eigvalsh(stacked.T @ stacked)[-1]) / n
-    return _checked_range(kappa, 1.0 / n, 1.0, tol, "configuration constant")
+    return _checked_range(kappa, 1.0 / n, 1.0, system.tol.check_tol, "configuration constant")
 
 
-def friedrichs_number(system: SubspaceSystem, tol: TolerancePolicy = DEFAULT_TOL) -> float:
+def friedrichs_number(system: SubspaceSystem) -> float:
     """Joint Friedrichs number c = N/(N-1) * kappa - 1/(N-1), in [0, 1].
 
     c = 0 for pairwise orthogonal subspaces, c = 1 exactly when uniform
     geometric convergence of the cyclic projection iteration fails.
     """
-    return _friedrichs_from(configuration_constant(system, tol), system.n_subspaces, tol)
+    n = system.n_subspaces
+    c = (n * configuration_constant(system) - 1.0) / (n - 1.0)
+    return _checked_range(c, 0.0, 1.0, system.tol.check_tol, "Friedrichs number")
 
 
-def _friedrichs_from(kappa: float, n: int, tol: TolerancePolicy) -> float:
-    return _checked_range((n * kappa - 1.0) / (n - 1.0), 0.0, 1.0, tol, "Friedrichs number")
-
-
-def dixmier_number(system: SubspaceSystem, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[float, float]:
+def dixmier_number(system: SubspaceSystem) -> tuple[float, float]:
     """(c0, kappa0): the non-reduced angle pair.
 
     kappa0 = ||P_D P_C||^2 on the product space R^{Nd}, with C = M_1 x ... x M_N
@@ -130,16 +129,16 @@ def dixmier_number(system: SubspaceSystem, tol: TolerancePolicy = DEFAULT_TOL) -
     """
     if system.intersection.dim > 0:
         return 1.0, 1.0
-    kappa = configuration_constant(system, tol)
-    return _friedrichs_from(kappa, system.n_subspaces, tol), kappa
+    return friedrichs_number(system), configuration_constant(system)
 
 
 def pairwise_friedrichs(s1: Subspace, s2: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     """Friedrichs cosine ||P_2 P_1 - P_meet||, the reduced-table entry of the pair system (s1, s2)."""
-    return float(pairwise_dixmier_reduced(SubspaceSystem((s1, s2), tol), tol)[0, 1])
+    return float(pairwise_dixmier_reduced(SubspaceSystem((s1, s2), tol))[0, 1])
 
 
-def pairwise_dixmier_reduced(system: SubspaceSystem, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+@_derived
+def pairwise_dixmier_reduced(system: SubspaceSystem) -> np.ndarray:
     """Symmetric N x N table of ||P_i~ P_j~|| over the reduced subspaces.
 
     Entry (i, j) is the cosine of the minimal angle between the reduced
@@ -153,34 +152,35 @@ def pairwise_dixmier_reduced(system: SubspaceSystem, tol: TolerancePolicy = DEFA
         table[i, i] = 1.0 if system.reduced[i].dim else 0.0
         for j in range(i + 1, n):
             value = operator_norm(bases[i].T @ bases[j])
-            value = _checked_range(value, 0.0, 1.0, tol, "pairwise Dixmier number")
+            value = _checked_range(value, 0.0, 1.0, system.tol.check_tol, "pairwise Dixmier number")
             table[i, j] = table[j, i] = value
     return table
 
 
-def prefix_friedrichs(system: SubspaceSystem, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[float, ...]:
+@_derived
+def prefix_friedrichs(system: SubspaceSystem) -> tuple[float, ...]:
     """c_j = pairwise angle of (M_1 ∩ ... ∩ M_{j-1}, M_j) for j = 2..N.
 
-    The pair system of (prefix, M_j) holds the next prefix as its
-    intersection, so each prefix intersection is built once.
+    The pair system of (prefix, M_j) under the system's policy holds the
+    next prefix as its intersection, so each prefix is built once.
     """
     values = []
     prefix = system.subspaces[0]
     for s in system.subspaces[1:]:
-        pair = SubspaceSystem((prefix, s), tol)
-        values.append(float(pairwise_dixmier_reduced(pair, tol)[0, 1]))
+        pair = SubspaceSystem((prefix, s), system.tol)
+        values.append(float(pairwise_dixmier_reduced(pair)[0, 1]))
         prefix = pair.intersection
     return tuple(values)
 
 
-def gramian_sample(system: SubspaceSystem, unit_vectors, tol: TolerancePolicy = DEFAULT_TOL) -> float:
+def gramian_sample(system: SubspaceSystem, unit_vectors) -> float:
     """(1/N) * ||G|| for the Gramian G of one unit vector per reduced subspace.
 
     Every sample is a lower witness for the configuration constant; the
     supremum over admissible tuples attains it.  Rejected when some reduced
     subspace is {0}, because the admissible set then has no unit vector.
     """
-    n = system.n_subspaces
+    n, tol = system.n_subspaces, system.tol
     if any(r.dim == 0 for r in system.reduced):
         raise ValueError("every reduced subspace must be nonzero to pick unit vectors")
     vs = [np.asarray(v, dtype=float) for v in unit_vectors]
@@ -243,7 +243,7 @@ def inclination_bounds(kappa: float, n: int) -> tuple[float, float]:
     return max(0.0, 1.0 - root), min(1.0, float(np.sqrt(max(0.0, 2.0 * n * (1.0 - root)))))
 
 
-def inclination(system: SubspaceSystem, tol: TolerancePolicy = DEFAULT_TOL) -> InclinationEstimate:
+def inclination(system: SubspaceSystem) -> InclinationEstimate:
     """Estimate l = min over unit y orthogonal to M of max_j dist(y, M_j).
 
     A component of y orthogonal to the span Q of the reduced bases only
@@ -275,32 +275,22 @@ def inclination(system: SubspaceSystem, tol: TolerancePolicy = DEFAULT_TOL) -> I
                                          _STEP_SIZE / 10.0, _SMOOTHING_POWER)
         estimate = min(estimate, polish_val)
 
-    lower, upper = inclination_bounds(configuration_constant(system, tol), n)
-    certified = (lower - tol.check_tol) <= estimate <= (upper + tol.check_tol)
+    lower, upper = inclination_bounds(configuration_constant(system), n)
+    certified = lower - system.tol.check_tol <= estimate <= upper + system.tol.check_tol
     return InclinationEstimate(lower=lower, upper=upper, estimate=float(estimate), certified=bool(certified))
 
 
-def angle_report(system: SubspaceSystem, tol: TolerancePolicy = DEFAULT_TOL) -> AngleReport:
-    """Compute every angle parameter of the system in one pass.
-
-    c and the closed-form (c0, kappa0) are derived from kappa, not recomputed.
-    """
-    kappa = configuration_constant(system, tol)
-    c = _friedrichs_from(kappa, system.n_subspaces, tol)
-    c0, kappa0 = (1.0, 1.0) if system.intersection.dim > 0 else (c, kappa)
-    table = pairwise_dixmier_reduced(system, tol)
-    prefix = prefix_friedrichs(system, tol)
-    if system.intersection.dim == system.ambient_dim:
-        incl = None
-    else:
-        incl = inclination(system, tol)
+def angle_report(system: SubspaceSystem) -> AngleReport:
+    """Every angle parameter; all but the inclination are computed once per system."""
+    c0, kappa0 = dixmier_number(system)
+    whole = system.intersection.dim == system.ambient_dim
     return AngleReport(
         c0=c0,
-        c=c,
+        c=friedrichs_number(system),
         kappa0=kappa0,
-        kappa=kappa,
-        pairwise_dixmier_reduced=table,
-        prefix_friedrichs=prefix,
-        inclination=incl,
+        kappa=configuration_constant(system),
+        pairwise_dixmier_reduced=pairwise_dixmier_reduced(system),
+        prefix_friedrichs=prefix_friedrichs(system),
+        inclination=None if whole else inclination(system),
         degenerate=system.degenerate,
     )

@@ -15,7 +15,9 @@ so near-violations caused by round-off stay visible.  Covered bounds:
 Bounds involving the inclination l substitute an endpoint of the
 closed-form sandwich `inclination_bounds` in the direction that keeps the
 inequality valid: the lower endpoint 1 - sqrt(kappa) where a smaller l
-weakens the bound, the upper endpoint otherwise.
+weakens the bound, the upper endpoint otherwise.  Every check reads the
+system's policy `system.tol`, and the quantities the checks share (kappa,
+the tables, the power traces, gamma(I - T)) are computed once per system.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .angles import (
     prefix_friedrichs,
 )
 from .dynamics import operator_error_norms, random_product_norm, reduced_min_modulus
-from .numerics import DEFAULT_TOL, NumericalFailure, TolerancePolicy
+from .numerics import NumericalFailure
 from .subspace import SubspaceSystem
 
 __all__ = [
@@ -109,7 +111,7 @@ class DichotomyVerdict:
     note: str = ""
 
 
-def _finish(name: str, measured, bound, tol: TolerancePolicy, note: str = "",
+def _finish(name: str, measured, bound, check_tol: float, note: str = "",
             max_abs_deviation: float | None = None) -> BoundCheck:
     margin = float(np.min(np.asarray(bound, dtype=float) - np.asarray(measured, dtype=float)))
     return BoundCheck(
@@ -117,118 +119,108 @@ def _finish(name: str, measured, bound, tol: TolerancePolicy, note: str = "",
         measured=measured,
         bound=bound,
         margin=margin,
-        satisfied=bool(margin >= -tol.check_tol),
+        satisfied=bool(margin >= -check_tol),
         note=note,
         max_abs_deviation=max_abs_deviation,
     )
 
 
-def kw_check(system: SubspaceSystem, n_max: int = 10, tol: TolerancePolicy = DEFAULT_TOL) -> BoundCheck:
+def kw_check(system: SubspaceSystem, n_max: int = 10) -> BoundCheck:
     """Exactness of the pair error formula ||(P_2 P_1)^n - P_M|| = c^(2n-1)."""
     if system.n_subspaces != 2:
         raise ValueError("the pair equality check needs exactly two subspaces")
-    c = friedrichs_number(system, tol)
+    c = friedrichs_number(system)
     trace = operator_error_norms(system, n_max)
     exponents = 2 * trace.steps - 1
     bound = c ** exponents.astype(float)
     deviation = float(np.max(np.abs(trace.errors - bound)))
-    return _finish("KW", trace.errors, bound, tol, note="equality expected",
+    return _finish("KW", trace.errors, bound, system.tol.check_tol, note="equality expected",
                    max_abs_deviation=deviation)
 
 
-def cor_main_check(system: SubspaceSystem, n_max: int = 100,
-                   tol: TolerancePolicy = DEFAULT_TOL) -> BoundCheck:
+def cor_main_check(system: SubspaceSystem, n_max: int = 100) -> BoundCheck:
     """Geometric envelope ||T^n - P_M|| <= (1 - ((1-c)/(4N))^2)^(n/2)."""
     if system.degenerate:
         raise ValueError("degenerate system: the joint angle is undefined")
     n = system.n_subspaces
-    c = friedrichs_number(system, tol)
+    c = friedrichs_number(system)
     trace = operator_error_norms(system, n_max)
     base = 1.0 - ((1.0 - c) / (4.0 * n)) ** 2
     bound = base ** (trace.steps / 2.0)
-    return _finish("corMain", trace.errors, bound, tol)
+    return _finish("corMain", trace.errors, bound, system.tol.check_tol)
 
 
-def dehu_check(system: SubspaceSystem, n_max: int = 100,
-               tol: TolerancePolicy = DEFAULT_TOL) -> BoundCheck:
+def dehu_check(system: SubspaceSystem, n_max: int = 100) -> BoundCheck:
     """Pairwise product bound c_1N^(n-1) * c_12^n * ... * c_(N-1)N^n.
 
     Built from the reduced minimal-angle table; the bound degenerates to 1
     when all the consecutive cosines equal 1, in which case pairwise angles
     cannot certify geometric convergence even though the joint angle can.
     """
-    table = pairwise_dixmier_reduced(system, tol)
+    check_tol = system.tol.check_tol
+    table = pairwise_dixmier_reduced(system)
     n = system.n_subspaces
     trace = operator_error_norms(system, n_max)
     chain = float(np.prod([table[i, i + 1] for i in range(n - 1)]))
     wrap = float(table[0, n - 1])
     steps = trace.steps.astype(float)
     bound = wrap ** (steps - 1) * chain ** steps
-    note = "uninformative: all consecutive pairwise cosines are 1" if bound.min() >= 1.0 - tol.check_tol else ""
-    return _finish("DeHu", trace.errors, bound, tol, note=note)
+    note = "uninformative: all consecutive pairwise cosines are 1" if bound.min() >= 1.0 - check_tol else ""
+    return _finish("DeHu", trace.errors, bound, check_tol, note=note)
 
 
-def estimc_check(system: SubspaceSystem, tol: TolerancePolicy = DEFAULT_TOL) -> BoundCheck:
+def estimc_check(system: SubspaceSystem) -> BoundCheck:
     """Chained upper bounds on c from the prefix angles c_j.
 
     c <= 1 - (1/(N-1)) * prod_j (1 - sqrt((c_j+1)/2))^2
       <= 1 - (1/((N-1) 4^(N-1))) * prod_j (1 - c_j)^2.
     """
+    check_tol = system.tol.check_tol
     n = system.n_subspaces
-    c = friedrichs_number(system, tol)
-    prefix = np.asarray(prefix_friedrichs(system, tol))
+    c = friedrichs_number(system)
+    prefix = np.asarray(prefix_friedrichs(system))
     tight = 1.0 - np.prod((1.0 - np.sqrt((prefix + 1.0) / 2.0)) ** 2) / (n - 1.0)
     loose = 1.0 - np.prod((1.0 - prefix) ** 2) / ((n - 1.0) * 4.0 ** (n - 1))
-    note = "vacuous: some prefix angle cosine is 1" if prefix.max(initial=0.0) >= 1.0 - tol.check_tol else ""
-    return _finish("estimC", np.full(2, c), np.array([tight, loose]), tol, note=note)
+    note = "vacuous: some prefix angle cosine is 1" if prefix.max(initial=0.0) >= 1.0 - check_tol else ""
+    return _finish("estimC", np.full(2, c), np.array([tight, loose]), check_tol, note=note)
 
 
-def eq_norm_check(system: SubspaceSystem, ell_lower: float | None = None,
-                  tol: TolerancePolicy = DEFAULT_TOL) -> BoundCheck:
-    """||T - P_M|| <= sqrt(1 - l^2/N^2), with a certified lower endpoint for l."""
+def eq_norm_check(system: SubspaceSystem) -> BoundCheck:
+    """||T - P_M|| <= sqrt(1 - l^2/N^2), with the certified lower endpoint for l."""
     n = system.n_subspaces
-    if ell_lower is None:
-        ell_lower = inclination_bounds(configuration_constant(system, tol), n)[0]
+    ell = inclination_bounds(configuration_constant(system), n)[0]
     measured = float(operator_error_norms(system, 1).errors[0])
-    bound = float(np.sqrt(max(0.0, 1.0 - ell_lower ** 2 / n ** 2)))
-    return _finish("eqNorm", measured, bound, tol)
+    bound = float(np.sqrt(max(0.0, 1.0 - ell ** 2 / n ** 2)))
+    return _finish("eqNorm", measured, bound, system.tol.check_tol)
 
 
-def eq_qua_check(system: SubspaceSystem, ell_lower: float | None = None,
-                 ell_upper: float | None = None,
-                 tol: TolerancePolicy = DEFAULT_TOL) -> tuple[BoundCheck, BoundCheck]:
+def eq_qua_check(system: SubspaceSystem) -> tuple[BoundCheck, BoundCheck]:
     """Two-sided modulus bounds l^2/(2 N^2) <= gamma(I - T) <= (2^N - 1) l.
 
-    The left side substitutes a lower endpoint for l, the right side an
-    upper endpoint (by default both derived from the configuration
-    constant), so each inequality stays valid under the substitution.
+    The left side substitutes the lower endpoint of the sandwich for l, the
+    right side its upper endpoint, so each inequality stays valid under the
+    substitution.
     """
     n = system.n_subspaces
-    lower, upper = inclination_bounds(configuration_constant(system, tol), n)
-    if ell_lower is None:
-        ell_lower = lower
-    if ell_upper is None:
-        ell_upper = upper
+    lower, upper = inclination_bounds(configuration_constant(system), n)
     gamma = reduced_min_modulus(system)
-    low = _finish("eqQuaLower", ell_lower ** 2 / (2.0 * n ** 2), gamma, tol)
-    high = _finish("eqQuaUpper", gamma, (2.0 ** n - 1.0) * ell_upper, tol)
+    low = _finish("eqQuaLower", lower ** 2 / (2.0 * n ** 2), gamma, system.tol.check_tol)
+    high = _finish("eqQuaUpper", gamma, (2.0 ** n - 1.0) * upper, system.tol.check_tol)
     return low, high
 
 
-def remark_product_check(system: SubspaceSystem, indices, ell_lower: float | None = None,
-                         tol: TolerancePolicy = DEFAULT_TOL) -> BoundCheck:
+def remark_product_check(system: SubspaceSystem, indices) -> BoundCheck:
     """||P_{i_k} ... P_{i_1} - P_M|| <= sqrt(1 - l^2/k^2) for a covering list."""
     idx = [int(i) for i in indices]
     if set(idx) != set(range(1, system.n_subspaces + 1)):
         raise ValueError("the index list must cover every subspace")
-    if ell_lower is None:
-        ell_lower = inclination_bounds(configuration_constant(system, tol), system.n_subspaces)[0]
-    measured = random_product_norm(system, idx, tol)
-    bound = float(np.sqrt(max(0.0, 1.0 - ell_lower ** 2 / len(idx) ** 2)))
-    return _finish("remarkK", measured, bound, tol)
+    ell = inclination_bounds(configuration_constant(system), system.n_subspaces)[0]
+    measured = random_product_norm(system, idx)
+    bound = float(np.sqrt(max(0.0, 1.0 - ell ** 2 / len(idx) ** 2)))
+    return _finish("remarkK", measured, bound, system.tol.check_tol)
 
 
-def dichotomy_report(system: SubspaceSystem, tol: TolerancePolicy = DEFAULT_TOL) -> DichotomyVerdict:
+def dichotomy_report(system: SubspaceSystem) -> DichotomyVerdict:
     """Assemble the convergence verdict and its consistency witnesses.
 
     Confirms the finite-dimensional web: c < 1, ||T - P_M|| < 1 and
@@ -239,8 +231,8 @@ def dichotomy_report(system: SubspaceSystem, tol: TolerancePolicy = DEFAULT_TOL)
     """
     if system.degenerate:
         raise ValueError("degenerate system: all subspaces coincide with the intersection")
-    c = friedrichs_number(system, tol)
-    kappa = configuration_constant(system, tol)
+    c = friedrichs_number(system)
+    kappa = configuration_constant(system)
     gap = float(operator_error_norms(system, 1).errors[0])
     gamma = reduced_min_modulus(system)
     margin = 1.0 - c
@@ -265,19 +257,18 @@ def dichotomy_report(system: SubspaceSystem, tol: TolerancePolicy = DEFAULT_TOL)
     )
 
 
-def bound_report(system: SubspaceSystem, n_max: int = 100,
-                 tol: TolerancePolicy = DEFAULT_TOL) -> BoundReport:
+def bound_report(system: SubspaceSystem, n_max: int = 100) -> BoundReport:
     """Run every applicable bound check; degenerate systems get a partial report."""
     entries: list[BoundCheck] = []
     degenerate = system.degenerate
     if system.n_subspaces == 2:
-        entries.append(kw_check(system, min(n_max, 10), tol))
+        entries.append(kw_check(system, min(n_max, 10)))
     if not degenerate:
-        entries.append(cor_main_check(system, n_max, tol))
-    entries.append(dehu_check(system, n_max, tol))
-    entries.append(estimc_check(system, tol))
+        entries.append(cor_main_check(system, n_max))
+    entries.append(dehu_check(system, n_max))
+    entries.append(estimc_check(system))
     if not degenerate:
-        entries.append(eq_norm_check(system, tol=tol))
-        entries.extend(eq_qua_check(system, tol=tol))
-        entries.append(remark_product_check(system, range(1, system.n_subspaces + 1), tol=tol))
+        entries.append(eq_norm_check(system))
+        entries.extend(eq_qua_check(system))
+        entries.append(remark_product_check(system, range(1, system.n_subspaces + 1)))
     return BoundReport(entries=entries, degenerate=degenerate)

@@ -6,7 +6,8 @@ T = P_N ... P_1, the reduced minimum modulus of I - T, norms of arbitrary
 products of projections, and a finite-horizon slow-convergence probe built
 on block-diagonal families of tilted planes.
 Every route works on the Gram blocks R_i^T R_j and the span Q of the reduced
-bases R_j (P_j = P_M + R_j R_j^T), never on d x d matrices.
+bases R_j (P_j = P_M + R_j R_j^T), never on d x d matrices; the cyclic chain,
+the power traces and gamma(I - T) are computed once per system.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import tilted_pairs
-from .numerics import DEFAULT_TOL, NumericalFailure, TolerancePolicy, operator_norm
-from .subspace import SubspaceSystem
+from .numerics import NumericalFailure, operator_norm
+from .subspace import SubspaceSystem, _derived
 
 __all__ = [
     "ConvergenceTrace",
@@ -133,9 +134,9 @@ def iterate_vector(system: SubspaceSystem, x0, schedule: IndexSchedule, n_max: i
     bases = [r.basis for r in system.reduced]
     n = system.n_subspaces
     if schedule.kind == "cyclic":
-        k = _reduced_chain(system, range(1, n + 1))
+        k, kw = _cyclic_chain(system)
         a = k @ (bases[0].T @ x)
-        steps = [k @ _reduced_chain(system, (n, 1))] * (n_max - 1)
+        steps = [kw] * (n_max - 1)
     else:
         idx = schedule.first(n_max) - 1
         a = bases[idx[0]].T @ x
@@ -160,6 +161,15 @@ def _reduced_chain(system: SubspaceSystem, indices) -> np.ndarray:
     return chain
 
 
+@_derived
+def _cyclic_chain(system: SubspaceSystem) -> tuple[np.ndarray, np.ndarray]:
+    """(K, K W): K the reduced chain of 1..N and W = R_1^T R_N."""
+    n = system.n_subspaces
+    k = _reduced_chain(system, range(1, n + 1))
+    return k, k @ _reduced_chain(system, (n, 1))
+
+
+@_derived
 def operator_error_norms(system: SubspaceSystem, n_max: int) -> ConvergenceTrace:
     """e_n = ||T^n - P_M|| for n = 1..n_max, from the reduced Gram blocks.
 
@@ -169,9 +179,7 @@ def operator_error_norms(system: SubspaceSystem, n_max: int) -> ConvergenceTrace
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    n = system.n_subspaces
-    k = _reduced_chain(system, range(1, n + 1))
-    kw = k @ _reduced_chain(system, (n, 1))
+    k, kw = _cyclic_chain(system)
     errors = np.empty(n_max)
     power = k
     errors[0] = operator_norm(power)
@@ -181,6 +189,7 @@ def operator_error_norms(system: SubspaceSystem, n_max: int) -> ConvergenceTrace
     return ConvergenceTrace(steps=np.arange(1, n_max + 1), errors=errors, kind="operator")
 
 
+@_derived
 def reduced_min_modulus(system: SubspaceSystem) -> float:
     """gamma(I - T): the smallest ||y - T y|| over unit y orthogonal to M.
 
@@ -195,13 +204,13 @@ def reduced_min_modulus(system: SubspaceSystem) -> float:
     q = system.span.basis
     gamma = 1.0 if q.shape[1] < system.ambient_dim - system.intersection.dim else np.inf
     if q.shape[1]:
-        k = _reduced_chain(system, range(1, system.n_subspaces + 1))
+        k, _ = _cyclic_chain(system)
         t = (q.T @ system.reduced[-1].basis) @ k @ (system.reduced[0].basis.T @ q)
         gamma = min(gamma, float(np.linalg.svd(np.eye(q.shape[1]) - t, compute_uv=False)[-1]))
     return float(gamma)
 
 
-def random_product_norm(system: SubspaceSystem, indices, tol: TolerancePolicy = DEFAULT_TOL) -> float:
+def random_product_norm(system: SubspaceSystem, indices) -> float:
     """||P_{i_k} ... P_{i_1} - P_M|| for an explicit index list (1-based), from its reduced chain."""
     idx = [int(i) for i in indices]
     if not idx:
@@ -209,7 +218,7 @@ def random_product_norm(system: SubspaceSystem, indices, tol: TolerancePolicy = 
     if any(not 1 <= i <= system.n_subspaces for i in idx):
         raise ValueError("indices must lie in 1..N")
     value = operator_norm(_reduced_chain(system, idx))
-    if value > 1.0 + tol.check_tol:
+    if value > 1.0 + system.tol.check_tol:
         raise NumericalFailure(f"product-of-projections gap {value} exceeds 1")
     return min(value, 1.0)
 

@@ -1,9 +1,9 @@
 """Dense linear-algebra primitives with an explicit tolerance policy.
 
 The analyses need orthonormalization and the operator norm, on bases and
-their Gram blocks; restricted minimum singular value and principal-eigenspace
-extraction act on d x d matrices, for callers that form them.  All routines
-take plain float64 arrays and are pure functions of their inputs.
+their Gram blocks; both take plain float64 arrays and are pure functions of
+their inputs.  A `TolerancePolicy` is given to what builds a subspace or a
+system, and every analysis of a system reads the policy the system carries.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ __all__ = [
     "as_matrix",
     "orthonormalize",
     "operator_norm",
-    "restricted_min_singular",
-    "principal_eigenspace",
 ]
 
 
@@ -125,39 +123,3 @@ def operator_norm(a) -> float:
     if m.size == 0:
         return 0.0
     return float(np.linalg.svd(m, compute_uv=False)[0])
-
-
-def restricted_min_singular(a, basis, tol: TolerancePolicy = DEFAULT_TOL) -> float:
-    """Minimum of ||A y|| over unit vectors y in the column span of `basis`.
-
-    `basis` must have orthonormal columns; the value equals the smallest
-    singular value of A @ basis.  A basis with zero columns has an empty
-    admissible set and returns +inf.
-    """
-    m = as_matrix(a)
-    b = as_matrix(basis)
-    if m.shape[1] != b.shape[0]:
-        raise ValueError(f"incompatible shapes {m.shape} and {b.shape}")
-    if b.shape[1] == 0:
-        return float("inf")
-    gram = b.T @ b
-    if np.linalg.norm(gram - np.eye(b.shape[1])) > tol.check_tol:
-        raise ValueError("basis columns must be orthonormal")
-    s = np.linalg.svd(m @ b, compute_uv=False)
-    return float(s[-1])
-
-
-def principal_eigenspace(s, target: float = 1.0, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the eigenvectors with |lambda - target| <= eig_tol.
-
-    The input must be symmetric within check_tol; an empty selection yields
-    a d x 0 matrix.
-    """
-    m = as_matrix(s)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("square matrix required")
-    if m.size and operator_norm(m - m.T) > tol.check_tol:
-        raise ValueError("symmetric input required")
-    w, v = np.linalg.eigh((m + m.T) / 2.0)
-    keep = np.abs(w - target) <= tol.eig_tol
-    return v[:, keep].copy()

@@ -1,19 +1,21 @@
-"""Linear subspaces of R^d, subspace systems, and orthogonal projectors.
+"""Linear subspaces of R^d and subspace systems.
 
 A `Subspace` stores an orthonormal basis; a `SubspaceSystem` bundles N >= 2
 subspaces of a common ambient space as orthonormal bases only: the
 intersection M, read from the singular vectors of the stacked bases, the
 reduced subspaces (each component intersected with the orthogonal
 complement of M) and, on first use, their span.  As P_j = P_M + R_j R_j^T
-for the reduced basis R_j, no analysis forms a d x d matrix; `projector`
-and `orthogonal_complement` do, for callers that want one.  The lazy span
-is a pure function of the bases, so concurrent reads are safe.
+for the reduced basis R_j, no analysis forms a d x d matrix.  A system is
+frozen and holds its `TolerancePolicy`, which every analysis reads, and what
+`_derived` computes from it once; all of it is a pure function of the bases
+and the policy, so concurrent reads are safe.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -29,8 +31,6 @@ from .numerics import (
 __all__ = [
     "Subspace",
     "SubspaceSystem",
-    "projector",
-    "orthogonal_complement",
     "intersection_of",
     "reduce_mod_intersection",
 ]
@@ -80,10 +80,6 @@ class Subspace:
     def zero(cls, ambient_dim: int, name: str = "") -> "Subspace":
         return cls(ambient_dim, np.zeros((ambient_dim, 0)), name)
 
-    @classmethod
-    def full(cls, ambient_dim: int, name: str = "") -> "Subspace":
-        return cls(ambient_dim, np.eye(ambient_dim), name)
-
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
@@ -92,22 +88,6 @@ class Subspace:
         v = np.asarray(vector, dtype=float)
         residual = v - self.basis @ (self.basis.T @ v)
         return float(np.linalg.norm(residual)) <= tol.check_tol * max(1.0, float(np.linalg.norm(v)))
-
-
-def projector(s: Subspace) -> np.ndarray:
-    """Orthogonal projector onto the subspace, as a dense d x d matrix."""
-    return s.basis @ s.basis.T
-
-
-def orthogonal_complement(s: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
-    """The subspace of all vectors orthogonal to `s` (dimension d - k)."""
-    d, k = s.basis.shape
-    if k == 0:
-        return Subspace.full(d, name=f"{s.name}^perp" if s.name else "")
-    if k == d:
-        return Subspace.zero(d, name=f"{s.name}^perp" if s.name else "")
-    u, _, _ = np.linalg.svd(s.basis, full_matrices=True)
-    return Subspace(d, u[:, k:].copy(), name=f"{s.name}^perp" if s.name else "")
 
 
 def intersection_of(subspaces, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
@@ -139,12 +119,13 @@ def intersection_of(subspaces, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
     return Subspace(d, basis)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SubspaceSystem:
-    """An ordered family of N >= 2 subspaces of a common R^d.
+    """An ordered family of N >= 2 subspaces of a common R^d, under one policy.
 
     The intersection and the reduced subspaces are computed once at
-    construction; `span` is computed on first use.
+    construction; `span` and the analyses' derived quantities are computed
+    on first use and kept.
     """
 
     subspaces: tuple[Subspace, ...]
@@ -160,10 +141,7 @@ class SubspaceSystem:
         d = subs[0].ambient_dim
         if any(s.ambient_dim != d for s in subs):
             raise ValueError("subspaces must share the ambient dimension")
-        self.subspaces = subs
-        self.ambient_dim = d
         meet = intersection_of(subs, self.tol)
-        self.intersection = meet
         reduced = []
         for s in subs:
             # containment of the intersection is verified above, so the shaved
@@ -180,7 +158,10 @@ class SubspaceSystem:
                 u, _, _ = np.linalg.svd(shaved, full_matrices=False)
                 basis = u[:, :rank].copy()
             reduced.append(Subspace(d, basis, name=f"{s.name}~" if s.name else ""))
-        self.reduced = tuple(reduced)
+        object.__setattr__(self, "subspaces", subs)
+        object.__setattr__(self, "ambient_dim", d)
+        object.__setattr__(self, "intersection", meet)
+        object.__setattr__(self, "reduced", tuple(reduced))
 
     @property
     def n_subspaces(self) -> int:
@@ -203,6 +184,32 @@ class SubspaceSystem:
         """
         stacked = np.hstack([r.basis for r in self.reduced])
         return Subspace(self.ambient_dim, orthonormalize(stacked.T, self.tol, self.ambient_dim))
+
+
+def _derived(fn):
+    """Compute fn(system, *args) once per system and argument values.
+
+    The value is kept in the system's __dict__, as `span` is, with its arrays
+    (or its fields' arrays) read-only.  A miss calls `__wrapped__`, which a
+    test may replace to count derivations.
+    """
+    signature = inspect.signature(fn)
+
+    @wraps(fn)
+    def once(*args, **kwargs):
+        system, *rest = signature.bind(*args, **kwargs).arguments.values()
+        memo = system.__dict__.setdefault("_derived", {})
+        key = (fn.__name__, *rest)
+        if key not in memo:
+            value = once.__wrapped__(*args, **kwargs)
+            items = value if isinstance(value, tuple) else getattr(value, "__dict__", {}).values()
+            for part in (value, *items):
+                if isinstance(part, np.ndarray):
+                    part.setflags(write=False)
+            memo[key] = value
+        return memo[key]
+
+    return once
 
 
 def reduce_mod_intersection(system: SubspaceSystem) -> SubspaceSystem:

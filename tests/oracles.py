@@ -2,22 +2,80 @@
 
 These deliberately avoid the library's optimization and SVD paths: grids,
 closed-form 2x2 eigenvalues and classical Gram-Schmidt, so that each check
-compares two genuinely different routes to the same number.
+compares two genuinely different routes to the same number.  The d x d
+helpers they are built from (projectors, complements, the restricted
+minimum singular value and the principal eigenspace) live here too, since
+no analysis of the library forms a d x d matrix.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from altproj.numerics import (
-    DEFAULT_TOL,
-    NumericalFailure,
-    TolerancePolicy,
-    operator_norm,
-    principal_eigenspace,
-    restricted_min_singular,
-)
-from altproj.subspace import Subspace, SubspaceSystem, orthogonal_complement, projector
+from altproj.numerics import DEFAULT_TOL, NumericalFailure, TolerancePolicy, as_matrix, operator_norm
+from altproj.subspace import Subspace, SubspaceSystem
+
+
+# ---- d x d helpers: no analysis of the library forms these matrices ----------
+
+def full_space(ambient_dim: int, name: str = "") -> Subspace:
+    """The whole of R^d as a subspace."""
+    return Subspace(ambient_dim, np.eye(ambient_dim), name)
+
+
+def projector(s: Subspace) -> np.ndarray:
+    """Orthogonal projector onto the subspace, as a dense d x d matrix."""
+    return s.basis @ s.basis.T
+
+
+def orthogonal_complement(s: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
+    """The subspace of all vectors orthogonal to `s` (dimension d - k)."""
+    d, k = s.basis.shape
+    if k == 0:
+        return full_space(d, name=f"{s.name}^perp" if s.name else "")
+    if k == d:
+        return Subspace.zero(d, name=f"{s.name}^perp" if s.name else "")
+    u, _, _ = np.linalg.svd(s.basis, full_matrices=True)
+    return Subspace(d, u[:, k:].copy(), name=f"{s.name}^perp" if s.name else "")
+
+
+def restricted_min_singular(a, basis, tol: TolerancePolicy = DEFAULT_TOL) -> float:
+    """Minimum of ||A y|| over unit vectors y in the column span of `basis`.
+
+    `basis` must have orthonormal columns; the value equals the smallest
+    singular value of A @ basis.  A basis with zero columns has an empty
+    admissible set and returns +inf.
+    """
+    m = as_matrix(a)
+    b = as_matrix(basis)
+    if m.shape[1] != b.shape[0]:
+        raise ValueError(f"incompatible shapes {m.shape} and {b.shape}")
+    if b.shape[1] == 0:
+        return float("inf")
+    gram = b.T @ b
+    if np.linalg.norm(gram - np.eye(b.shape[1])) > tol.check_tol:
+        raise ValueError("basis columns must be orthonormal")
+    s = np.linalg.svd(m @ b, compute_uv=False)
+    return float(s[-1])
+
+
+def principal_eigenspace(s, target: float = 1.0, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis of the eigenvectors with |lambda - target| <= eig_tol.
+
+    The input must be symmetric within check_tol; an empty selection yields
+    a d x 0 matrix.
+    """
+    m = as_matrix(s)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError("square matrix required")
+    if m.size and operator_norm(m - m.T) > tol.check_tol:
+        raise ValueError("symmetric input required")
+    w, v = np.linalg.eigh((m + m.T) / 2.0)
+    keep = np.abs(w - target) <= tol.eig_tol
+    return v[:, keep].copy()
+
+
+# ---- oracles -------------------------------------------------------------------
 
 
 def sphere_grid(m, resolution=0.01):

@@ -25,7 +25,7 @@ from altproj.dynamics import (
     reduced_min_modulus,
     slow_vector_probe,
 )
-from altproj.subspace import intersection_of, projector, reduce_mod_intersection
+from altproj.subspace import intersection_of, reduce_mod_intersection
 from cases import (
     common_core_batch,
     convergence_corpus,
@@ -33,7 +33,7 @@ from cases import (
     random_pairs_r8,
     random_triples_r9,
 )
-from oracles import circle_min_modulus, grid_inclination, product_space
+from oracles import circle_min_modulus, grid_inclination, product_space, projector
 
 RESULTS = []
 

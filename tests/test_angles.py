@@ -15,9 +15,9 @@ from altproj.angles import (
 )
 from altproj.corpus import common_core, example3, random_system, two_lines
 from altproj.numerics import operator_norm
-from altproj.subspace import Subspace, SubspaceSystem, intersection_of, projector
+from altproj.subspace import Subspace, SubspaceSystem, intersection_of
 from cases import common_core_batch, coordinate_axes, grid_corpus, random_triples_r9
-from oracles import grid_inclination, optimal_gram_vectors, product_space
+from oracles import full_space, grid_inclination, optimal_gram_vectors, product_space, projector
 
 
 def line(direction, d=2, name=""):
@@ -77,7 +77,7 @@ class TestDixmierNumber:
 def _dixmier_cases():
     zero = Subspace.zero(3)
     cases = [("axes3", coordinate_axes(3)), ("example3", example3(12)),
-             ("full2", SubspaceSystem((Subspace.full(2), Subspace.full(2)))),
+             ("full2", SubspaceSystem((full_space(2), full_space(2)))),
              ("identical_lines", identical_lines()),
              ("all_zero", SubspaceSystem((zero, zero, zero)))]
     cases += [(f"r9_{i}", s) for i, s in enumerate(random_triples_r9(20))]
@@ -109,7 +109,7 @@ class TestInclinationBounds:
 
 class TestProductSpace:
     def test_two_full_lines(self):
-        system = SubspaceSystem((Subspace.full(1), Subspace.full(1)))
+        system = SubspaceSystem((full_space(1), full_space(1)))
         pair = product_space(system)
         assert pair.C.dim == 2 and pair.D.dim == 1 and pair.CD.dim == 1
         np.testing.assert_allclose(projector(pair.CD), projector(pair.D), atol=1e-12)
@@ -274,7 +274,7 @@ class TestInclination:
             assert est.lower <= est.upper + 1e-8
 
     def test_whole_space_intersection_rejected(self):
-        system = SubspaceSystem((Subspace.full(2), Subspace.full(2)))
+        system = SubspaceSystem((full_space(2), full_space(2)))
         with pytest.raises(ValueError):
             inclination(system)
 
@@ -322,7 +322,7 @@ class TestIdentityWeb:
         assert report.inclination is not None and report.inclination.certified
 
     def test_report_degenerate_full_space(self):
-        system = SubspaceSystem((Subspace.full(2), Subspace.full(2)))
+        system = SubspaceSystem((full_space(2), full_space(2)))
         report = angle_report(system)
         assert report.degenerate
         assert report.inclination is None

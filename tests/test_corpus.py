@@ -3,7 +3,8 @@ import pytest
 
 from altproj.angles import dixmier_number, friedrichs_number
 from altproj.corpus import FamilySpec, common_core, example3, random_system, tilted_pairs, two_lines
-from altproj.subspace import intersection_of, projector
+from altproj.subspace import intersection_of
+from oracles import projector
 
 
 class TestExample3:

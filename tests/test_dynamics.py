@@ -12,9 +12,9 @@ from altproj.dynamics import (
     reduced_min_modulus,
     slow_vector_probe,
 )
-from altproj.subspace import Subspace, SubspaceSystem, projector
+from altproj.subspace import Subspace, SubspaceSystem
 from cases import convergence_corpus, coordinate_axes
-from oracles import circle_min_modulus, cyclic_operator
+from oracles import circle_min_modulus, cyclic_operator, full_space, projector
 
 
 def line(direction, d=2):
@@ -188,7 +188,7 @@ class TestReducedMinModulus:
             assert abs(reduced_min_modulus(system) - circle_min_modulus(system)) <= 1e-6
 
     def test_whole_space_rejected(self):
-        system = SubspaceSystem((Subspace.full(2), Subspace.full(2)))
+        system = SubspaceSystem((full_space(2), full_space(2)))
         with pytest.raises(ValueError):
             reduced_min_modulus(system)
 

@@ -1,0 +1,120 @@
+"""A system is the single home of its tolerance policy and of what is derived from it.
+
+Every analysis reads `system.tol`, and kappa, the angle tables, the cyclic
+chain (K, K W), the power traces and gamma(I - T) are computed once per
+system and then shared, read-only, by every later call.
+"""
+
+import dataclasses
+import inspect
+
+import numpy as np
+import pytest
+
+from altproj import angles, diagnostics, dynamics, subspace
+from altproj.angles import angle_report, configuration_constant, pairwise_dixmier_reduced, prefix_friedrichs
+from altproj.corpus import random_system, two_lines
+from altproj.diagnostics import bound_report, dichotomy_report
+from altproj.dynamics import operator_error_norms, reduced_min_modulus
+from altproj.numerics import DEFAULT_TOL, TolerancePolicy
+from altproj.subspace import SubspaceSystem, intersection_of
+
+
+def test_analyses_honour_the_policy_of_the_system():
+    # under eig_tol = 1e-6 two lines at 1e-3 coincide: sin^2(theta/2) = 2.5e-7
+    loose = TolerancePolicy(eig_tol=1e-6, check_tol=1e-3)
+    system = SubspaceSystem(two_lines(1e-3).subspaces, tol=loose)
+    assert system.intersection.dim == 1
+    assert system.degenerate
+    report = angle_report(system)
+    assert report.prefix_friedrichs == (0.0,)
+    assert report.c0 == report.kappa0 == 1.0
+
+
+@pytest.mark.parametrize("module", [angles, diagnostics, dynamics], ids=lambda m: m.__name__)
+def test_no_analysis_of_a_system_takes_a_policy(module):
+    for name in module.__all__:
+        fn = getattr(module, name)
+        if not inspect.isfunction(fn):
+            continue
+        params = list(inspect.signature(fn).parameters)
+        if params[0] == "system":
+            assert not {"tol", "ell_lower", "ell_upper"} & set(params), name
+
+
+def count_derivations(monkeypatch, fn):
+    """Record the arguments of every call that misses a system's cache."""
+    calls = []
+    inner = fn.__wrapped__
+
+    def spy(*args, **kwargs):
+        calls.append(args + tuple(kwargs.values()))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(fn, "__wrapped__", spy)
+    return calls
+
+
+def test_reports_derive_each_quantity_once(monkeypatch):
+    system = random_system(9, (3, 3, 3), seed=0)
+    eigensolves = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigensolves.append(a.shape) or eigvalsh(a))
+    meets = []
+
+    def spy(subspaces, tol=DEFAULT_TOL):
+        meets.append(len(subspaces))
+        return intersection_of(subspaces, tol)
+
+    monkeypatch.setattr(subspace, "intersection_of", spy)
+    kappa = count_derivations(monkeypatch, configuration_constant)
+    table = count_derivations(monkeypatch, pairwise_dixmier_reduced)
+    prefix = count_derivations(monkeypatch, prefix_friedrichs)
+    traces = count_derivations(monkeypatch, operator_error_norms)
+    gamma = count_derivations(monkeypatch, reduced_min_modulus)
+    chain = count_derivations(monkeypatch, dynamics._cyclic_chain)
+
+    angle_report(system)
+    bound_report(system, n_max=100)
+    dichotomy_report(system)
+
+    n = system.n_subspaces
+    assert len(eigensolves) == 1
+    assert kappa == prefix == gamma == chain == [(system,)]
+    assert meets == [2] * (n - 1)
+    # the table of the system, and one of each pair system of the prefix chain
+    assert len(table) == n and sum(call[0] is system for call in table) == 1
+    assert sorted(call[1] for call in traces) == [1, 100]
+    assert all(call[0] is system for call in traces)
+
+
+def test_the_system_and_its_cached_values_refuse_writes():
+    system = random_system(9, (3, 3, 3), seed=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        system.tol = TolerancePolicy(check_tol=1e-3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        system.subspaces = system.subspaces[:2]
+    table = angle_report(system).pairwise_dixmier_reduced
+    assert table is pairwise_dixmier_reduced(system)
+    with pytest.raises(ValueError):
+        table[0, 1] = 0.5
+    trace = operator_error_norms(system, 5)
+    with pytest.raises(ValueError):
+        trace.errors[0] = 0.0
+    with pytest.raises(ValueError):
+        trace.steps[0] = 0
+    for block in dynamics._cyclic_chain(system):
+        with pytest.raises(ValueError):
+            block[0, 0] = 0.0
+
+
+def test_keyword_and_positional_calls_share_one_entry():
+    system = random_system(9, (3, 3, 3), seed=2)
+    by_keyword = operator_error_norms(system, n_max=3)
+    assert operator_error_norms(system, 3) is by_keyword
+    fresh = random_system(9, (3, 3, 3), seed=2)
+    np.testing.assert_array_equal(by_keyword.errors, operator_error_norms(fresh, 3).errors)
+    # the wrapper keeps the name, module and signature that callers bind by name
+    assert list(inspect.signature(operator_error_norms).parameters) == ["system", "n_max"]
+    assert operator_error_norms.__module__ == "altproj.dynamics"
+    assert operator_error_norms.__name__ == "operator_error_norms"
