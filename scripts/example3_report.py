@@ -34,8 +34,9 @@ def main():
     print(np.array_str(report.pairwise_dixmier_reduced, precision=6))
     print(f"prefix angles: {[round(v, 12) for v in report.prefix_friedrichs]}")
     inc = report.inclination
-    print(f"inclination: estimate {inc.estimate:.6f} in [{inc.lower:.6f}, {inc.upper:.6f}],"
-          f" certified={inc.certified}")
+    print(f"inclination: estimate {inc.estimate:.10f}, dual_lower {inc.dual_lower:.10f},"
+          f" gap {inc.estimate - inc.dual_lower:.3e}")
+    print(f"paper's sandwich [{inc.lower:.6f}, {inc.upper:.6f}], certified={inc.certified}")
 
     print("\nbound margins (min over n of bound - measured):")
     for check in bound_report(system, n_max=args.iters).entries:

@@ -8,11 +8,9 @@ For N subspaces with intersection M the module computes:
   on the product space equals the norm of the mean projector, so the pair
   is (1, 1) when the intersection is nonzero and (c, kappa) otherwise,
 * pairwise angles, prefix angles and Gramian samples,
-* the inclination  l = inf over unit y orthogonal to M of
-  max_j dist(y, M_j), estimated by multistart projected subgradient
-  descent on the unit sphere of the span Q of the reduced bases and
-  certified against the closed-form sandwich
-  1 - sqrt(kappa) <= l <= min(1, sqrt(2N(1 - sqrt(kappa)))).
+* the inclination  l = inf over unit y orthogonal to M of max_j dist(y, M_j),
+  bracketed by [dual_lower, estimate] (a single point where l has a closed form)
+  and by the paper's sandwich [1 - sqrt(kappa), min(1, sqrt(2N(1 - sqrt(kappa))))].
 
 Empty-supremum convention: when every reduced subspace is {0} (all
 subspaces equal M) the defining suprema range over an empty set; c is
@@ -47,27 +45,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class InclinationEstimate:
-    """Numerical estimate of the inclination together with certified bounds.
+    """l lies in [dual_lower, estimate], and in the paper's sandwich [lower, upper].
 
-    lower and upper are the closed-form sandwich `inclination_bounds` of the
-    configuration constant; `certified` is set when the optimizer value
-    lands inside [lower - tol, upper + tol].
+    estimate is max_j dist(y, M_j) at the best unit y evaluated, dual_lower
+    a Lagrangian bound never below sqrt(1 - kappa); `certified` is set when
+    the estimate lands inside [lower - tol, upper + tol].
     """
 
     lower: float
     upper: float
     estimate: float
     certified: bool
+    dual_lower: float
 
 
-# inclination optimizer: random starts, subgradient steps, polish steps from
-# the best start, initial step size, L^p smoothing power, seed of the starts
-_STARTS = 32
-_STEPS = 400
-_POLISH_STEPS = 200
-_STEP_SIZE = 0.5
-_SMOOTHING_POWER = 16.0
-_SEED = 0
+# inclination loop for N >= 3: steps per phase, scale of the weight and local steps
+_STEP_CAP = 600
+_STEP_SCALE = 3.0
 
 
 @dataclass(eq=False)
@@ -198,86 +192,78 @@ def gramian_sample(system: SubspaceSystem, unit_vectors) -> float:
     return operator_norm(gram) / n
 
 
-def _inclination_objective(coeff_gram: list[np.ndarray], c: np.ndarray) -> np.ndarray:
-    """max_j ||A_j c|| column-wise for c of shape (m, nstarts)."""
-    r2 = np.stack([np.sum(c * (s @ c), axis=0) for s in coeff_gram])
-    return np.sqrt(np.maximum(r2, 0.0)).max(axis=0)
-
-
-def _subgradient_run(coeff_gram: list[np.ndarray], starts: np.ndarray, steps: int,
-                     step_size: float, power: float) -> tuple[float, np.ndarray]:
-    """Projected subgradient descent on the unit sphere, all starts at once.
-
-    Descent directions use an L^p smoothing of the max of norms; objective
-    values are always the true max.
-    """
-    c = starts / np.linalg.norm(starts, axis=0, keepdims=True)
-    best_val = np.full(c.shape[1], np.inf)
-    best_c = c.copy()
-    for t in range(steps):
-        sc = [s @ c for s in coeff_gram]
-        r = np.sqrt(np.maximum(np.stack([np.sum(c * x, axis=0) for x in sc]), 0.0))
-        f = r.max(axis=0)
-        improved = f < best_val
-        best_val = np.where(improved, f, best_val)
-        best_c[:, improved] = c[:, improved]
-        rmax = np.maximum(f, 1e-300)
-        weights = (r / rmax) ** (power - 2.0)
-        grad = sum(w * x for w, x in zip(weights, sc))
-        grad -= c * np.sum(grad * c, axis=0)
-        norms = np.linalg.norm(grad, axis=0)
-        safe = np.maximum(norms, 1e-300)
-        c = c - (step_size / np.sqrt(t + 1.0)) * grad / safe
-        c /= np.linalg.norm(c, axis=0, keepdims=True)
-    f = _inclination_objective(coeff_gram, c)
-    improved = f < best_val
-    best_val = np.where(improved, f, best_val)
-    best_c[:, improved] = c[:, improved]
-    winner = int(np.argmin(best_val))
-    return float(best_val[winner]), best_c[:, winner]
-
-
 def inclination_bounds(kappa: float, n: int) -> tuple[float, float]:
     """The paper's sandwich [1 - sqrt(kappa), min(1, sqrt(2N(1 - sqrt(kappa))))] for l."""
     root = float(np.sqrt(kappa))
     return max(0.0, 1.0 - root), min(1.0, float(np.sqrt(max(0.0, 2.0 * n * (1.0 - root)))))
 
 
-def inclination(system: SubspaceSystem) -> InclinationEstimate:
-    """Estimate l = min over unit y orthogonal to M of max_j dist(y, M_j).
+def _inclination_loop(system: SubspaceSystem, floor: float) -> tuple[float, float]:
+    """(estimate, dual_lower) of l for N >= 3, on the stacked reduced bases R = [R_1 ... R_N].
 
-    A component of y orthogonal to the span Q of the reduced bases only
-    increases each distance, so multistart projected subgradient descent
-    runs on the unit sphere of Q, where dist(Qc, M_j)^2 = c^T S_j c with
-    S_j = I - (R_j^T Q)^T (R_j^T Q); every distance is 1 when Q = {0}.  The
-    certified interval is `inclination_bounds` of kappa.  Undefined when
-    the intersection is the whole space.
+    For unit y in the span of R, q = (z * z) @ member with z = R^T y holds
+    ||R_j^T y||^2 = 1 - dist(y, M_j)^2.  Power steps y <- normalize(sum_j
+    lam_j R_j R_j^T y) alternate with multiplicative updates of the simplex
+    weights lam; l^2 >= 1 - lambda_max(sum_j lam_j R_j R_j^T) at their mean,
+    and sqrt(1 - kappa) = floor at uniform weights.  While a gap remains,
+    damped steps up the farthest block's q_j follow from the best point.
+    """
+    n = system.n_subspaces
+    stacked = np.hstack([r.basis for r in system.reduced])
+    member = np.repeat(np.eye(n), [r.dim for r in system.reduced], axis=0)
+    best = [-1.0]
+
+    def visit(y):
+        y = y / np.linalg.norm(y)
+        z = stacked.T @ y
+        q = (z * z) @ member
+        if q.min() > best[0]:
+            best[:] = q.min(), y, z, q
+        return y, z, q
+
+    lam, lam_sum = np.full(n, 1.0 / n), 0.0
+    # the start R w, w_i = 1/i^2, cannot vanish: ||R w|| >= 1 - (pi^2/6 - 1) for unit columns
+    y, z, q = visit(stacked @ (1.0 / np.arange(1.0, stacked.shape[1] + 1.0) ** 2))
+    for _ in range(_STEP_CAP):
+        lam_sum = lam_sum + lam
+        lam = lam * np.exp(_STEP_SCALE * (q.min() - q))
+        lam /= lam.sum()
+        y, z, q = visit(stacked @ ((member @ lam) * z))
+    weighted = stacked * np.sqrt(member @ lam_sum / _STEP_CAP)
+    dual = max(floor, float(np.sqrt(max(0.0, 1.0 - np.linalg.eigvalsh(weighted.T @ weighted)[-1]))))
+    _, y, z, q = best
+    for t in range(_STEP_CAP):
+        gap = float(np.sqrt(max(0.0, 1.0 - best[0]))) - dual
+        step = stacked @ (member[:, q.argmin()] * z) - q.min() * y  # half the tangent gradient of min q
+        length = float(np.linalg.norm(step)) * np.sqrt(t + 1.0)
+        if gap <= system.tol.check_tol or not length > 0.0:
+            break
+        y, z, q = visit(y + (_STEP_SCALE * gap / length) * step)
+    return float(np.sqrt(max(0.0, 1.0 - best[0]))), dual
+
+
+def inclination(system: SubspaceSystem) -> InclinationEstimate:
+    """The inclination l = min over unit y orthogonal to M of max_j dist(y, M_j).
+
+    l = 1 when some reduced subspace is {0}, as every such y is at distance 1
+    from it.  l = sqrt(1 - kappa) for a pair: the bisector of the principal
+    vectors attains it, and uniform dual weights bound l below by it.
+    Undefined when the intersection is the whole space.
     """
     if system.intersection.dim == system.ambient_dim:
         raise ValueError("inclination undefined: the intersection is the whole space")
     n = system.n_subspaces
-    q = system.span.basis
-    m = q.shape[1]
-    blocks = [r.basis.T @ q for r in system.reduced]
-    coeff_gram = [np.eye(m) - b.T @ b for b in blocks]
-
-    if m == 0:
-        estimate = 1.0
-    elif m == 1:
-        estimate = float(_inclination_objective(coeff_gram, np.ones((1, 1)))[0])
+    kappa = configuration_constant(system)
+    floor = float(np.sqrt(1.0 - kappa))
+    if any(r.dim == 0 for r in system.reduced):
+        estimate = dual = 1.0
+    elif n == 2:
+        estimate = dual = floor
     else:
-        rng = np.random.default_rng(_SEED)
-        structured = [np.linalg.eigh(sum(coeff_gram))[1][:, :2]]
-        structured.extend(np.linalg.eigh(s)[1][:, :1] for s in coeff_gram)
-        seeds = np.column_stack([np.hstack(structured), rng.standard_normal((m, _STARTS))])
-        estimate, best = _subgradient_run(coeff_gram, seeds, _STEPS, _STEP_SIZE, _SMOOTHING_POWER)
-        polish_val, _ = _subgradient_run(coeff_gram, best[:, None], _POLISH_STEPS,
-                                         _STEP_SIZE / 10.0, _SMOOTHING_POWER)
-        estimate = min(estimate, polish_val)
-
-    lower, upper = inclination_bounds(configuration_constant(system), n)
+        estimate, dual = _inclination_loop(system, floor)
+    lower, upper = inclination_bounds(kappa, n)
     certified = lower - system.tol.check_tol <= estimate <= upper + system.tol.check_tol
-    return InclinationEstimate(lower=lower, upper=upper, estimate=float(estimate), certified=bool(certified))
+    return InclinationEstimate(lower, upper, estimate, bool(certified), dual_lower=dual)
 
 
 def angle_report(system: SubspaceSystem) -> AngleReport:

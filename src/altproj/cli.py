@@ -10,12 +10,13 @@ Subcommands:
 
 All commands are deterministic given their flags.  Exit codes: 0 success or
 informative outcome, 1 usage error (bad flags or malformed input, including
-a system file whose "dim" exceeds MAX_DIM), 2 numerical failure.
+an ambient dimension above MAX_DIM in a system file or flags), 2 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -129,6 +130,9 @@ _FAMILY_IDS = {
 
 def _cmd_gen(args) -> int:
     family = _FAMILY_IDS[args.family]
+    ambient = 2 * args.k if family == "tilted_pairs" and args.k is not None else args.dim
+    if ambient is not None and ambient > MAX_DIM:  # refused before anything is built
+        raise ValueError(f"ambient dimension must lie in 1..{MAX_DIM}, got {ambient}")
     spec = FamilySpec(
         family=family,
         dim=args.dim,
@@ -143,17 +147,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _inclination_payload(report):
-    if report.inclination is None:
-        return None
-    return {
-        "lower": report.inclination.lower,
-        "upper": report.inclination.upper,
-        "estimate": report.inclination.estimate,
-        "certified": report.inclination.certified,
-    }
-
-
 def _cmd_angles(args) -> int:
     system = _read_system(args.system)
     report = angle_report(system)
@@ -164,7 +157,7 @@ def _cmd_angles(args) -> int:
         "kappa": report.kappa,
         "pairwise": [[float(v) for v in row] for row in report.pairwise_dixmier_reduced],
         "prefix": [float(v) for v in report.prefix_friedrichs],
-        "inclination": _inclination_payload(report),
+        "inclination": None if report.inclination is None else dataclasses.asdict(report.inclination),
         "degenerate": report.degenerate,
     }
     _write_output(json.dumps(payload, indent=2), args.output)
@@ -228,6 +221,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_probe_slow(args) -> int:
+    if 2 * args.k > MAX_DIM:
+        raise ValueError(f"ambient dimension must lie in 1..{MAX_DIM}, got 2 * k = {2 * args.k}")
     if args.seq.startswith("pow:"):
         seq = SlowSequence.power(float(args.seq.split(":", 1)[1]))
     elif args.seq == "log":

@@ -22,7 +22,7 @@ the tables, the power traces, gamma(I - T)) are computed once per system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -186,12 +186,8 @@ def estimc_check(system: SubspaceSystem) -> BoundCheck:
 
 
 def eq_norm_check(system: SubspaceSystem) -> BoundCheck:
-    """||T - P_M|| <= sqrt(1 - l^2/N^2), with the certified lower endpoint for l."""
-    n = system.n_subspaces
-    ell = inclination_bounds(configuration_constant(system), n)[0]
-    measured = float(operator_error_norms(system, 1).errors[0])
-    bound = float(np.sqrt(max(0.0, 1.0 - ell ** 2 / n ** 2)))
-    return _finish("eqNorm", measured, bound, system.tol.check_tol)
+    """||T - P_M|| <= sqrt(1 - l^2/N^2): the remarkK check of the cyclic product T = P_N ... P_1."""
+    return replace(remark_product_check(system, range(1, system.n_subspaces + 1)), name="eqNorm")
 
 
 def eq_qua_check(system: SubspaceSystem) -> tuple[BoundCheck, BoundCheck]:

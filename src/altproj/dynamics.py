@@ -5,9 +5,9 @@ operator-power error norms ||T^n - P_M|| of the cyclic product
 T = P_N ... P_1, the reduced minimum modulus of I - T, norms of arbitrary
 products of projections, and a finite-horizon slow-convergence probe built
 on block-diagonal families of tilted planes.
-Every route works on the Gram blocks R_i^T R_j and the span Q of the reduced
-bases R_j (P_j = P_M + R_j R_j^T), never on d x d matrices; the cyclic chain,
-the power traces and gamma(I - T) are computed once per system.
+Every route works on the reduced bases R_j (P_j = P_M + R_j R_j^T) and their
+Gram blocks R_i^T R_j, never on d x d matrices; the cyclic chain, the power
+traces and gamma(I - T) are computed once per system.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import tilted_pairs
-from .numerics import NumericalFailure, operator_norm
+from .numerics import NumericalFailure, operator_norm, orthonormalize
 from .subspace import SubspaceSystem, _derived
 
 __all__ = [
@@ -195,13 +195,14 @@ def reduced_min_modulus(system: SubspaceSystem) -> float:
 
     The fixed space of T is exactly the intersection, so the infimum runs
     over the unit sphere of its orthogonal complement; undefined when the
-    intersection is the whole space.  On M^perp, T = R_N K R_1^T vanishes
-    off the span Q of the reduced bases, so the value is
-    sigma_min(I - (Q^T R_N) K (R_1^T Q)), capped at 1 when Q is smaller.
+    intersection is the whole space.  On M^perp, T = R_N K R_1^T maps the
+    span Q of R_1 and R_N into itself and vanishes on the rest, so the value
+    is sigma_min(I - (Q^T R_N) K (R_1^T Q)), capped at 1 when Q is smaller.
     """
     if system.intersection.dim == system.ambient_dim:
         raise ValueError("modulus undefined: the intersection is the whole space")
-    q = system.span.basis
+    ends = np.hstack([system.reduced[0].basis, system.reduced[-1].basis])
+    q = orthonormalize(ends.T, system.tol, system.ambient_dim)
     gamma = 1.0 if q.shape[1] < system.ambient_dim - system.intersection.dim else np.inf
     if q.shape[1]:
         k, _ = _cyclic_chain(system)
@@ -217,10 +218,12 @@ def random_product_norm(system: SubspaceSystem, indices) -> float:
         raise ValueError("index list must be nonempty")
     if any(not 1 <= i <= system.n_subspaces for i in idx):
         raise ValueError("indices must lie in 1..N")
-    value = operator_norm(_reduced_chain(system, idx))
+    cyclic = idx == list(range(1, system.n_subspaces + 1))  # ||K|| is then cached on the system
+    value = (operator_error_norms(system, 1).errors[0] if cyclic
+             else operator_norm(_reduced_chain(system, idx)))
     if value > 1.0 + system.tol.check_tol:
         raise NumericalFailure(f"product-of-projections gap {value} exceeds 1")
-    return min(value, 1.0)
+    return float(min(value, 1.0))
 
 
 @dataclass(frozen=True)

@@ -263,6 +263,33 @@ class TestInclination:
         # bisector direction realizes the minimum for a pair of lines
         assert est.estimate == pytest.approx(np.sin(theta / 2.0), abs=1e-6)
 
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("dims", [(1, 2), (2, 3), (3, 3), (1, 4), (2, 5)])
+    def test_pairs_take_the_closed_form(self, dims, seed):
+        system = random_system(7, dims, seed=seed)
+        est = inclination(system)
+        assert est.estimate == est.dual_lower == np.sqrt(1.0 - configuration_constant(system))
+
+    def test_a_zero_reduced_subspace_gives_exactly_one(self):
+        axis = line([1.0, 0.0, 0.0], d=3)
+        planes = (Subspace(3, np.eye(3)[:, :2]), Subspace(3, np.eye(3)[:, [0, 2]]))
+        for system in (SubspaceSystem((axis, planes[0])), SubspaceSystem((axis, *planes))):
+            assert system.reduced[0].dim == 0
+            est = inclination(system)
+            assert est.estimate == est.dual_lower == 1.0
+
+    def test_three_lines_at_120_degrees_keep_a_duality_gap(self):
+        angles = (0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0)
+        est = inclination(SubspaceSystem(tuple(line([np.cos(a), np.sin(a)]) for a in angles)))
+        assert est.estimate == pytest.approx(np.sqrt(3.0) / 2.0, abs=1e-5)
+        assert est.dual_lower == pytest.approx(np.sqrt(0.5), abs=1e-12)
+
+    @pytest.mark.parametrize("name, system", grid_corpus(), ids=[name for name, _ in grid_corpus()])
+    def test_certificate_lies_below_the_estimate_and_the_grid_oracle(self, name, system):
+        est = inclination(system)
+        floor = np.sqrt(1.0 - configuration_constant(system))
+        assert floor - 1e-12 <= est.dual_lower <= min(est.estimate, grid_inclination(system)) + 1e-12
+
     def test_matches_grid_oracle_on_small_systems(self):
         for name, system in grid_corpus()[:6]:
             est = inclination(system)
@@ -279,10 +306,10 @@ class TestInclination:
             inclination(system)
 
     def test_is_deterministic(self):
-        system = random_system(5, (2, 2), seed=3)
-        a = inclination(system)
-        b = inclination(system)
-        assert a.estimate == b.estimate
+        for dims in ((2, 2), (2, 2, 2)):
+            a = inclination(random_system(5, dims, seed=3))
+            b = inclination(random_system(5, dims, seed=3))
+            assert (a.estimate, a.dual_lower) == (b.estimate, b.dual_lower)
 
 
 class TestIdentityWeb:

@@ -108,7 +108,22 @@ class TestFuzz:
                 assert cli.main([command, str(path)]) in (0, 1, 2)
 
 
+def refuse_to_build(*args, **kwargs):
+    raise AssertionError("a system was built for an oversized ambient dimension")
+
+
 class TestGen:
+    @pytest.mark.parametrize("flags", [
+        ["--family", "random", "--dim", str(cli.MAX_DIM + 1), "--dims", "1,1"],
+        ["--family", "tilted", "--k", str(cli.MAX_DIM // 2 + 1)],
+    ])
+    def test_oversized_ambient_dimension_exits_one_before_building(self, tmp_path, monkeypatch, capsys, flags):
+        monkeypatch.setattr(cli.FamilySpec, "build", refuse_to_build)
+        out = tmp_path / "huge.json"
+        assert cli.main(["gen", *flags, "-o", str(out)]) == 1
+        assert not out.exists()
+        assert "ambient dimension" in capsys.readouterr().err
+
     def test_coordinate_example_dimensions(self, tmp_path):
         out = tmp_path / "ex3.json"
         result = run_cli("gen", "--family", "example3", "--dim", "12", "-o", str(out))
@@ -161,6 +176,7 @@ class TestAngles:
         assert payload["kappa0"] == report.kappa0
         assert payload["pairwise"] == [[float(v) for v in row] for row in report.pairwise_dixmier_reduced]
         assert payload["inclination"]["estimate"] == report.inclination.estimate
+        assert payload["inclination"]["dual_lower"] == report.inclination.dual_lower
         assert payload["degenerate"] is False
 
     def test_orthogonal_pair_file(self, tmp_path):
@@ -294,6 +310,12 @@ class TestProbeSlow:
         payload = json.loads(result.stdout)
         assert payload["success"] is True
         assert np.linalg.norm(payload["x"]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_oversized_k_exits_one_before_building(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "slow_vector_probe", refuse_to_build)
+        k = cli.MAX_DIM // 2 + 1
+        assert cli.main(["probe-slow", "--k", str(k), "--horizon", "5"]) == 1
+        assert "ambient dimension" in capsys.readouterr().err
 
     def test_bad_seq_form_exit_one(self):
         assert run_cli("probe-slow", "--k", "2", "--seq", "exp", "--horizon", "5").returncode == 1

@@ -166,9 +166,10 @@ class TestDichotomyReport:
 
     def test_verdict_runs_no_inclination_optimizer(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("the verdict must not run the inclination optimizer")
+            raise AssertionError("the verdict must not compute the inclination")
 
-        monkeypatch.setattr(angles, "_subgradient_run", refuse)
+        monkeypatch.setattr(angles, "inclination", refuse)
+        monkeypatch.setattr(diagnostics, "inclination", refuse, raising=False)
         verdict = dichotomy_report(example3(12))
         assert verdict.inclination_interval == (pytest.approx(1.0 - np.sqrt(2.0 / 3.0), abs=1e-12), 1.0)
 

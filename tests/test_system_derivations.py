@@ -59,7 +59,15 @@ def test_reports_derive_each_quantity_once(monkeypatch):
     system = random_system(9, (3, 3, 3), seed=0)
     eigensolves = []
     eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigensolves.append(a.shape) or eigvalsh(a))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigensolves.append(a) or eigvalsh(a))
+    chains = []
+    reduced_chain = dynamics._reduced_chain
+
+    def chain_spy(system, indices):
+        chains.append(tuple(indices))
+        return reduced_chain(system, indices)
+
+    monkeypatch.setattr(dynamics, "_reduced_chain", chain_spy)
     meets = []
 
     def spy(subspaces, tol=DEFAULT_TOL):
@@ -79,7 +87,12 @@ def test_reports_derive_each_quantity_once(monkeypatch):
     dichotomy_report(system)
 
     n = system.n_subspaces
-    assert len(eigensolves) == 1
+    # the kappa eigensolve is the one of the unweighted Gram matrix of the
+    # stacked reduced bases; the inclination certificate solves a weighted one
+    stacked = np.hstack([r.basis for r in system.reduced])
+    assert sum(np.array_equal(a, stacked.T @ stacked) for a in eigensolves) == 1
+    # K is built once, for the cyclic chain, and W once, as the wrap-around
+    assert chains == [(1, 2, 3), (3, 1)]
     assert kappa == prefix == gamma == chain == [(system,)]
     assert meets == [2] * (n - 1)
     # the table of the system, and one of each pair system of the prefix chain
