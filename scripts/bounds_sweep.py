@@ -3,9 +3,10 @@
 
 Prints, per bound, the worst margin seen across the sweep; negative margins
 beyond tolerance would mean a violated inequality.  Prints the median and
-the largest certified gap estimate - dual_lower of the inclination, and
-exits 1 if any gap is not finite or below -check_tol, since the certified
-interval [dual_lower, estimate] must contain l.
+the largest certified gap estimate - dual_lower of the inclination and how
+many systems close it to check_tol, and exits 1 if any gap is not finite or
+below -check_tol, since the certified interval [dual_lower, estimate] must
+contain l.
 """
 
 import argparse
@@ -31,7 +32,7 @@ def main():
         systems.append((f"core8/{seed}", common_core(8, (3, 4, 3), core_dim=1 + seed % 2, seed=seed)))
 
     worst = defaultdict(lambda: (float("inf"), ""))
-    gaps, broken = [], []
+    gaps, broken, closed = [], [], 0
     for name, system in systems:
         for check in bound_report(system, n_max=args.iters).entries:
             if check.margin < worst[check.name][0]:
@@ -39,6 +40,7 @@ def main():
         est = inclination(system)
         gap = est.estimate - est.dual_lower
         gaps.append((gap, name))
+        closed += gap <= system.tol.check_tol
         if not math.isfinite(gap) or gap < -system.tol.check_tol:
             broken.append(f"{name}: estimate {est.estimate!r}, dual_lower {est.dual_lower!r}")
 
@@ -49,6 +51,7 @@ def main():
     largest = max(gaps)
     print(f"inclination gap estimate - dual_lower: median {statistics.median(g for g, _ in gaps):.3e},"
           f" largest {largest[0]:.3e} at {largest[1]}")
+    print(f"inclination gap closed to check_tol on {closed} of {len(systems)} systems")
     if broken:
         print("broken inclination certificates:", *broken, sep="\n  ", file=sys.stderr)
         return 1

@@ -85,6 +85,13 @@ def _checked_range(value: float, lo: float, hi: float, check_tol: float, label: 
 
 
 @_derived
+def _reduced_gram(system: SubspaceSystem) -> np.ndarray:
+    """G = R^T R for the stacked reduced bases R = [R_1 ... R_N], r x r with r = sum dim R_j."""
+    stacked = np.hstack([r.basis for r in system.reduced])
+    return stacked.T @ stacked
+
+
+@_derived
 def configuration_constant(system: SubspaceSystem) -> float:
     """kappa = || mean of the projectors - projector onto the intersection ||.
 
@@ -96,8 +103,7 @@ def configuration_constant(system: SubspaceSystem) -> float:
     n = system.n_subspaces
     if system.degenerate:
         return 1.0 / n
-    stacked = np.hstack([r.basis for r in system.reduced])
-    kappa = float(np.linalg.eigvalsh(stacked.T @ stacked)[-1]) / n
+    kappa = float(np.linalg.eigvalsh(_reduced_gram(system))[-1]) / n
     return _checked_range(kappa, 1.0 / n, 1.0, system.tol.check_tol, "configuration constant")
 
 
@@ -198,48 +204,98 @@ def inclination_bounds(kappa: float, n: int) -> tuple[float, float]:
     return max(0.0, 1.0 - root), min(1.0, float(np.sqrt(max(0.0, 2.0 * n * (1.0 - root)))))
 
 
-def _inclination_loop(system: SubspaceSystem, floor: float) -> tuple[float, float]:
-    """(estimate, dual_lower) of l for N >= 3, on the stacked reduced bases R = [R_1 ... R_N].
+def _weighted_dual(gram: np.ndarray, member: np.ndarray, lam: np.ndarray) -> float:
+    """sqrt(1 - lambda_max(sum_j lam_j R_j R_j^T)), a lower bound on l for any simplex weights lam.
 
-    For unit y in the span of R, q = (z * z) @ member with z = R^T y holds
-    ||R_j^T y||^2 = 1 - dist(y, M_j)^2.  Power steps y <- normalize(sum_j
-    lam_j R_j R_j^T y) alternate with multiplicative updates of the simplex
-    weights lam; l^2 >= 1 - lambda_max(sum_j lam_j R_j R_j^T) at their mean,
-    and sqrt(1 - kappa) = floor at uniform weights.  While a gap remains,
-    damped steps up the farthest block's q_j follow from the best point.
+    For unit y orthogonal to M, max_j dist(y, M_j)^2 >= sum_j lam_j (1 - ||R_j^T y||^2);
+    sum_j lam_j R_j R_j^T = R D R^T has the nonzero spectrum of D^(1/2) G D^(1/2).
     """
-    n = system.n_subspaces
-    stacked = np.hstack([r.basis for r in system.reduced])
+    root = np.sqrt(member @ lam)
+    top = float(np.linalg.eigvalsh(root[:, None] * gram * root)[-1])
+    return float(np.sqrt(max(0.0, 1.0 - top)))
+
+
+def _recovered_weights(gram: np.ndarray, member: np.ndarray, c: np.ndarray, z: np.ndarray,
+                       q: np.ndarray) -> np.ndarray | None:
+    """Simplex weights that make the unit y = R c most nearly an eigenvector of sum_j lam_j R_j R_j^T.
+
+    The best mu in ||sum_j lam_j R_j R_j^T y - mu y|| is sum_j lam_j q_j, which
+    leaves ||sum_j lam_j w_j|| for w_j = R_j R_j^T y - q_j y = R a_j: least
+    squares under sum_j lam_j = 1, solved by its KKT system in the metric G,
+    then clipped to the simplex.  None when every w_j or every weight vanishes.
+    """
+    n = q.shape[0]
+    a = member * z[:, None] - np.outer(c, q)
+    w = a.T @ (gram @ a)
+    scale = float(np.abs(w).max())
+    if not scale > 0.0:
+        return None
+    kkt = np.ones((n + 1, n + 1))
+    kkt[:n, :n], kkt[n, n] = w / scale, 0.0
+    lam = np.maximum(np.linalg.lstsq(kkt, np.eye(n + 1)[n], rcond=None)[0][:n], 0.0)
+    return lam / lam.sum() if lam.sum() > 0.0 else None
+
+
+def _inclination_loop(system: SubspaceSystem, floor: float) -> tuple[float, float]:
+    """(estimate, dual_lower) of l for N >= 3, in the coefficients of the stacked reduced bases R.
+
+    A unit y = R c in the span of R has z = R^T y = G c, ||y||^2 = c . z and
+    ||R_j^T y||^2 = q_j = 1 - dist(y, M_j)^2, so every step is one product
+    with G = R^T R.  Power steps y <- normalize(sum_j lam_j R_j R_j^T y)
+    alternate with multiplicative updates of the simplex weights lam; after
+    32, 64, ..., 512 of them the weights recovered from the best point give a
+    Lagrangian bound, and the loop stops once it meets the estimate within
+    check_tol.  Otherwise the mean weights give one more bound, and while a
+    gap remains damped steps up the farthest block's q_j follow from the
+    best point, closed by one more recovered bound.  sqrt(1 - kappa) = floor
+    is the bound at uniform weights.
+    """
+    n, tol = system.n_subspaces, system.tol.check_tol
+    gram = _reduced_gram(system)
     member = np.repeat(np.eye(n), [r.dim for r in system.reduced], axis=0)
     best = [-1.0]
 
-    def visit(y):
-        y = y / np.linalg.norm(y)
-        z = stacked.T @ y
+    def visit(c):
+        z = gram @ c
+        norm = float(np.sqrt(c @ z))
+        c, z = c / norm, z / norm
         q = (z * z) @ member
         if q.min() > best[0]:
-            best[:] = q.min(), y, z, q
-        return y, z, q
+            best[:] = q.min(), c, z, q
+        return c, z, q
 
-    lam, lam_sum = np.full(n, 1.0 / n), 0.0
+    def estimate():
+        return float(np.sqrt(max(0.0, 1.0 - best[0])))
+
+    def certify(dual):
+        lam = _recovered_weights(gram, member, *best[1:])
+        return dual if lam is None else max(dual, _weighted_dual(gram, member, lam))
+
+    lam, lam_sum, dual = np.full(n, 1.0 / n), 0.0, floor
     # the start R w, w_i = 1/i^2, cannot vanish: ||R w|| >= 1 - (pi^2/6 - 1) for unit columns
-    y, z, q = visit(stacked @ (1.0 / np.arange(1.0, stacked.shape[1] + 1.0) ** 2))
-    for _ in range(_STEP_CAP):
+    c, z, q = visit(1.0 / np.arange(1.0, gram.shape[0] + 1.0) ** 2)
+    for t in range(1, _STEP_CAP + 1):
         lam_sum = lam_sum + lam
         lam = lam * np.exp(_STEP_SCALE * (q.min() - q))
         lam /= lam.sum()
-        y, z, q = visit(stacked @ ((member @ lam) * z))
-    weighted = stacked * np.sqrt(member @ lam_sum / _STEP_CAP)
-    dual = max(floor, float(np.sqrt(max(0.0, 1.0 - np.linalg.eigvalsh(weighted.T @ weighted)[-1]))))
-    _, y, z, q = best
+        c, z, q = visit((member @ lam) * z)
+        if t >= 32 and t & (t - 1) == 0:  # a power of two
+            dual = certify(dual)
+            if estimate() - dual <= tol:
+                return estimate(), dual
+    dual = max(dual, _weighted_dual(gram, member, lam_sum / _STEP_CAP))
+    _, c, z, q = best
     for t in range(_STEP_CAP):
-        gap = float(np.sqrt(max(0.0, 1.0 - best[0]))) - dual
-        step = stacked @ (member[:, q.argmin()] * z) - q.min() * y  # half the tangent gradient of min q
-        length = float(np.linalg.norm(step)) * np.sqrt(t + 1.0)
-        if gap <= system.tol.check_tol or not length > 0.0:
+        j = q.argmin()
+        # half the tangent gradient of min q, R_j R_j^T y - q_j y, has norm sqrt(q_j (1 - q_j))
+        length = float(np.sqrt(max(0.0, q[j] * (1.0 - q[j])) * (t + 1.0)))
+        gap = estimate() - dual
+        if gap <= tol or not length > 0.0:
             break
-        y, z, q = visit(y + (_STEP_SCALE * gap / length) * step)
-    return float(np.sqrt(max(0.0, 1.0 - best[0]))), dual
+        c, z, q = visit(c + (_STEP_SCALE * gap / length) * (member[:, j] * z - q[j] * c))
+    if estimate() - dual > tol:
+        dual = certify(dual)
+    return estimate(), dual
 
 
 def inclination(system: SubspaceSystem) -> InclinationEstimate:

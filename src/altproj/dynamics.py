@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .angles import friedrichs_number
 from .corpus import tilted_pairs
 from .numerics import NumericalFailure, operator_norm, orthonormalize
 from .subspace import SubspaceSystem, _derived
@@ -195,12 +196,19 @@ def reduced_min_modulus(system: SubspaceSystem) -> float:
 
     The fixed space of T is exactly the intersection, so the infimum runs
     over the unit sphere of its orthogonal complement; undefined when the
-    intersection is the whole space.  On M^perp, T = R_N K R_1^T maps the
-    span Q of R_1 and R_N into itself and vanishes on the rest, so the value
-    is sigma_min(I - (Q^T R_N) K (R_1^T Q)), capped at 1 when Q is smaller.
+    intersection is the whole space.  For a pair, I - T is [[s^2, 0], [-c s, 1]]
+    on the plane of each pair of principal vectors (cosine c, sine s) and the
+    identity off them; its smallest singular value s^2 / sigma_max decreases
+    in c, so gamma is that value at the Friedrichs number c.  Otherwise
+    T = R_N K R_1^T maps the span Q of R_1 and R_N into itself and vanishes
+    on the rest of M^perp, so the value is sigma_min(I - (Q^T R_N) K (R_1^T Q)),
+    capped at 1 when Q is smaller.
     """
     if system.intersection.dim == system.ambient_dim:
         raise ValueError("modulus undefined: the intersection is the whole space")
+    if system.n_subspaces == 2:
+        c = friedrichs_number(system)
+        return float((1.0 - c * c) / np.sqrt((2.0 - c * c + c * np.sqrt(4.0 - 3.0 * c * c)) / 2.0))
     ends = np.hstack([system.reduced[0].basis, system.reduced[-1].basis])
     q = orthonormalize(ends.T, system.tol, system.ambient_dim)
     gamma = 1.0 if q.shape[1] < system.ambient_dim - system.intersection.dim else np.inf

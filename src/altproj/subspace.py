@@ -2,9 +2,9 @@
 
 A `Subspace` stores an orthonormal basis; a `SubspaceSystem` bundles N >= 2
 subspaces of a common ambient space as orthonormal bases only: the
-intersection M, read from the singular vectors of the stacked bases, the
-reduced subspaces (each component intersected with the orthogonal
-complement of M) and, on first use, their span.  As P_j = P_M + R_j R_j^T
+intersection M, read from the singular vectors of the stacked bases, and
+the reduced subspaces (each component intersected with the orthogonal
+complement of M).  As P_j = P_M + R_j R_j^T
 for the reduced basis R_j, no analysis forms a d x d matrix.  A system is
 frozen and holds its `TolerancePolicy`, which every analysis reads, and what
 `_derived` computes from it once; all of it is a pure function of the bases
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from functools import cached_property, wraps
+from functools import wraps
 
 import numpy as np
 
@@ -124,8 +124,8 @@ class SubspaceSystem:
     """An ordered family of N >= 2 subspaces of a common R^d, under one policy.
 
     The intersection and the reduced subspaces are computed once at
-    construction; `span` and the analyses' derived quantities are computed
-    on first use and kept.
+    construction; the analyses' derived quantities are computed on first
+    use and kept.
     """
 
     subspaces: tuple[Subspace, ...]
@@ -176,20 +176,11 @@ class SubspaceSystem:
         """True when every subspace equals the intersection (empty suprema)."""
         return all(r.dim == 0 for r in self.reduced)
 
-    @cached_property
-    def span(self) -> Subspace:
-        """Orthonormal basis Q of span(R_1, ..., R_N) inside M^perp.
-
-        Every P_j - P_M maps into it and vanishes on the rest of M^perp.
-        """
-        stacked = np.hstack([r.basis for r in self.reduced])
-        return Subspace(self.ambient_dim, orthonormalize(stacked.T, self.tol, self.ambient_dim))
-
 
 def _derived(fn):
     """Compute fn(system, *args) once per system and argument values.
 
-    The value is kept in the system's __dict__, as `span` is, with its arrays
+    The value is kept in the system's __dict__, with its arrays
     (or its fields' arrays) read-only.  A miss calls `__wrapped__`, which a
     test may replace to count derivations.
     """

@@ -12,7 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from altproj.numerics import DEFAULT_TOL, NumericalFailure, TolerancePolicy, as_matrix, operator_norm
+from altproj.numerics import (
+    DEFAULT_TOL,
+    NumericalFailure,
+    TolerancePolicy,
+    as_matrix,
+    operator_norm,
+    orthonormalize,
+)
 from altproj.subspace import Subspace, SubspaceSystem
 
 
@@ -235,6 +242,30 @@ def dense_min_modulus(system):
     """gamma(I - T) as the smallest singular value of I - T on a basis of M^perp."""
     basis = orthogonal_complement(system.intersection).basis
     return restricted_min_singular(np.eye(system.ambient_dim) - cyclic_operator(system), basis)
+
+
+def reduced_span(system: SubspaceSystem) -> Subspace:
+    """Orthonormal basis Q of span(R_1, ..., R_N) inside M^perp.
+
+    Every P_j - P_M maps into it and vanishes on the rest of M^perp.
+    """
+    stacked = np.hstack([r.basis for r in system.reduced])
+    return Subspace(system.ambient_dim, orthonormalize(stacked.T, system.tol, system.ambient_dim))
+
+
+def pair_svd_min_modulus(system):
+    """gamma(I - P_2 P_1) for a pair as sigma_min(I - Q^T T Q) on the span Q of R_1 and R_2.
+
+    T - P_M = R_2 (R_2^T R_1) R_1^T maps Q into itself and vanishes off it, so
+    the value is capped at 1 when Q is smaller than M^perp.
+    """
+    r1, r2 = (r.basis for r in system.reduced)
+    q = reduced_span(system).basis
+    gamma = 1.0 if q.shape[1] < system.ambient_dim - system.intersection.dim else np.inf
+    if q.shape[1]:
+        t = (q.T @ r2) @ (r2.T @ r1) @ (r1.T @ q)
+        gamma = min(gamma, float(np.linalg.svd(np.eye(q.shape[1]) - t, compute_uv=False)[-1]))
+    return gamma
 
 
 def dense_error_norms(system, n_max):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from altproj import angles
 from altproj.angles import (
     angle_report,
     configuration_constant,
@@ -244,6 +245,15 @@ class TestGramianSample:
         assert gramian_sample(system, vectors) >= kappa - 1e-3
 
 
+# systems whose certificate meets the estimate: l equals its Lagrangian dual bound
+STRONG_DUALITY = {
+    "thin-random400": lambda: random_system(400, (5, 5, 5), seed=2),
+    "thin-core400": lambda: common_core(400, (6, 6, 6), 1, seed=0),
+    **{f"triple9-{s}": (lambda s=s: random_system(9, (3, 3, 3), seed=s)) for s in range(10)},
+    **{f"core8-{s}": (lambda s=s: common_core(8, (3, 4, 3), 1, seed=s)) for s in range(10)},
+}
+
+
 class TestInclination:
     def test_orthogonal_axes_bounds(self):
         est = inclination(coordinate_axes(3))
@@ -283,6 +293,52 @@ class TestInclination:
         est = inclination(SubspaceSystem(tuple(line([np.cos(a), np.sin(a)]) for a in angles)))
         assert est.estimate == pytest.approx(np.sqrt(3.0) / 2.0, abs=1e-5)
         assert est.dual_lower == pytest.approx(np.sqrt(0.5), abs=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(STRONG_DUALITY))
+    def test_certificate_meets_the_estimate_where_duality_is_strong(self, name):
+        system = STRONG_DUALITY[name]()
+        est = inclination(system)
+        assert est.estimate - est.dual_lower <= system.tol.check_tol
+
+    def test_a_met_certificate_stops_the_loop_before_its_cap(self, monkeypatch):
+        recovered, bounds = [], []
+        recover, bound = angles._recovered_weights, angles._weighted_dual
+
+        def recover_spy(*args):
+            recovered.append(recover(*args))
+            return recovered[-1]
+
+        def bound_spy(gram, member, lam):
+            bounds.append(lam)
+            return bound(gram, member, lam)
+
+        monkeypatch.setattr(angles, "_recovered_weights", recover_spy)
+        monkeypatch.setattr(angles, "_weighted_dual", bound_spy)
+        system = random_system(400, (5, 5, 5), seed=2)
+        est = inclination(system)
+        # the mean-weight bound would follow _STEP_CAP power steps: every bound
+        # taken came from weights recovered at one of the steps 32, 64, ..., 512
+        assert 1 <= len(recovered) <= 5
+        assert len(bounds) == len(recovered) and all(b is r for b, r in zip(bounds, recovered))
+        assert est.estimate - est.dual_lower <= system.tol.check_tol
+
+    @pytest.mark.parametrize("build", [lambda: random_system(6, (2, 2, 2), seed=102),
+                                       lambda: random_system(10, (3, 3, 3, 3), seed=105)],
+                             ids=["triple6", "quad10"])
+    def test_negative_least_squares_weights_are_clipped_into_a_valid_bound(self, build, monkeypatch):
+        solutions = []
+        lstsq = np.linalg.lstsq
+
+        def spy(a, b, rcond=None):
+            result = lstsq(a, b, rcond=rcond)
+            solutions.append(result[0][:-1])
+            return result
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        system = build()
+        est = inclination(system)
+        assert any((lam < 0.0).any() for lam in solutions)
+        assert np.sqrt(1.0 - configuration_constant(system)) <= est.dual_lower <= est.estimate
 
     @pytest.mark.parametrize("name, system", grid_corpus(), ids=[name for name, _ in grid_corpus()])
     def test_certificate_lies_below_the_estimate_and_the_grid_oracle(self, name, system):

@@ -36,7 +36,9 @@ from oracles import (
     dense_min_modulus,
     dense_prefix_friedrichs,
     full_space,
+    pair_svd_min_modulus,
     projector,
+    reduced_span,
 )
 
 TOL = 1e-12
@@ -163,7 +165,7 @@ MODULUS_SYSTEMS = {
 @pytest.mark.parametrize("name", sorted(MODULUS_SYSTEMS))
 def test_min_modulus_matches_dense_when_span_is_smaller(name):
     system = MODULUS_SYSTEMS[name]()
-    assert system.span.dim < system.ambient_dim - system.intersection.dim
+    assert reduced_span(system).dim < system.ambient_dim - system.intersection.dim
     assert abs(reduced_min_modulus(system) - dense_min_modulus(system)) <= TOL
 
 
@@ -171,8 +173,25 @@ def test_min_modulus_matches_dense(system):
     assert abs(reduced_min_modulus(system) - dense_min_modulus(system)) <= TOL
 
 
+PAIRS = {
+    **MODULUS_SYSTEMS,
+    "tilted60": lambda: tilted_pairs(60),
+    **{f"lines({theta})": (lambda theta=theta: two_lines(theta)) for theta in (3e-4, 0.05, 1.0, np.pi / 2)},
+    **{f"pair8-{dims}-{s}": (lambda dims=dims, s=s: random_system(8, dims, seed=s))
+       for dims in ((3, 4), (2, 5), (4, 4)) for s in range(3)},
+    **{f"core8-34-{s}": (lambda s=s: common_core(8, (3, 4), 1, seed=s)) for s in range(3)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_pair_min_modulus_closed_form_matches_the_svd_route(name):
+    system = PAIRS[name]()
+    assert system.n_subspaces == 2
+    assert abs(reduced_min_modulus(system) - pair_svd_min_modulus(system)) <= 1e-13
+
+
 def test_span_is_an_orthonormal_basis_of_the_reduced_subspaces(system):
-    q = system.span.basis
+    q = reduced_span(system).basis
     stacked = np.hstack([r.basis for r in system.reduced])
     assert q.shape[1] == np.linalg.matrix_rank(stacked)
     assert np.linalg.norm(q.T @ q - np.eye(q.shape[1])) <= DEFAULT_TOL.check_tol

@@ -1,8 +1,9 @@
 """A system is the single home of its tolerance policy and of what is derived from it.
 
-Every analysis reads `system.tol`, and kappa, the angle tables, the cyclic
-chain (K, K W), the power traces and gamma(I - T) are computed once per
-system and then shared, read-only, by every later call.
+Every analysis reads `system.tol`, and the Gram matrix R^T R of the stacked
+reduced bases, kappa, the angle tables, the cyclic chain (K, K W), the power
+traces and gamma(I - T) are computed once per system and then shared,
+read-only, by every later call.
 """
 
 import dataclasses
@@ -81,6 +82,7 @@ def test_reports_derive_each_quantity_once(monkeypatch):
     traces = count_derivations(monkeypatch, operator_error_norms)
     gamma = count_derivations(monkeypatch, reduced_min_modulus)
     chain = count_derivations(monkeypatch, dynamics._cyclic_chain)
+    gram = count_derivations(monkeypatch, angles._reduced_gram)
 
     angle_report(system)
     bound_report(system, n_max=100)
@@ -93,7 +95,8 @@ def test_reports_derive_each_quantity_once(monkeypatch):
     assert sum(np.array_equal(a, stacked.T @ stacked) for a in eigensolves) == 1
     # K is built once, for the cyclic chain, and W once, as the wrap-around
     assert chains == [(1, 2, 3), (3, 1)]
-    assert kappa == prefix == gamma == chain == [(system,)]
+    # R^T R is formed once and shared by kappa and the inclination loop
+    assert kappa == prefix == gamma == chain == gram == [(system,)]
     assert meets == [2] * (n - 1)
     # the table of the system, and one of each pair system of the prefix chain
     assert len(table) == n and sum(call[0] is system for call in table) == 1
