@@ -14,7 +14,7 @@ from .angles import (
     pairwise_friedrichs,
     prefix_friedrichs,
 )
-from .corpus import FamilySpec, common_core, example3, random_system, tilted_pairs, two_lines
+from .corpus import common_core, example3, random_system, tilted_pairs, two_lines
 from .diagnostics import (
     BoundCheck,
     BoundReport,

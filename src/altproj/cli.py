@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .angles import angle_report
-from .corpus import FamilySpec
+from .corpus import common_core, example3, random_system, tilted_pairs, two_lines
 from .diagnostics import bound_report
 from .dynamics import IndexSchedule, SlowSequence, iterate_vector, slow_vector_probe
 from .numerics import NumericalFailure
@@ -119,31 +119,34 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
         raise ValueError(f"{flag} expects a comma-separated list of integers") from exc
 
 
-_FAMILY_IDS = {
-    "example3": "example3",
-    "two-lines": "two_lines",
-    "tilted": "tilted_pairs",
-    "random": "random",
-    "common-core": "common_core",
+_GEN_NEEDS = {  # --family -> the flags it requires
+    "example3": (),
+    "two-lines": ("--theta",),
+    "tilted": ("--k",),
+    "random": ("--dim", "--dims"),
+    "common-core": ("--dim", "--dims", "--core-dim"),
 }
 
 
 def _cmd_gen(args) -> int:
-    family = _FAMILY_IDS[args.family]
-    ambient = 2 * args.k if family == "tilted_pairs" and args.k is not None else args.dim
+    args.dims = _parse_int_list(args.dims, "--dims") if args.dims else None
+    missing = [flag for flag in _GEN_NEEDS[args.family] if getattr(args, flag[2:].replace("-", "_")) is None]
+    if missing:
+        raise ValueError(f"{args.family} needs {' and '.join(missing)}")
+    ambient = 2 * args.k if args.family == "tilted" else args.dim
     if ambient is not None and ambient > MAX_DIM:  # refused before anything is built
         raise ValueError(f"ambient dimension must lie in 1..{MAX_DIM}, got {ambient}")
-    spec = FamilySpec(
-        family=family,
-        dim=args.dim,
-        theta=args.theta,
-        k=args.k,
-        angle_rule=args.rule,
-        dims=_parse_int_list(args.dims, "--dims") if args.dims else None,
-        seed=args.seed,
-        core_dim=args.core_dim,
-    )
-    _write_output(dump_system(spec.build()), args.output)
+    if args.family == "example3":
+        system = example3() if args.dim is None else example3(args.dim)
+    elif args.family == "two-lines":
+        system = two_lines(args.theta)
+    elif args.family == "tilted":
+        system = tilted_pairs(args.k)
+    elif args.family == "random":
+        system = random_system(args.dim, args.dims, args.seed)
+    else:
+        system = common_core(args.dim, args.dims, args.core_dim, args.seed)
+    _write_output(dump_system(system), args.output)
     return 0
 
 
@@ -255,7 +258,6 @@ def _build_parser() -> _Parser:
     gen.add_argument("--dim", type=int, help="ambient dimension")
     gen.add_argument("--theta", type=float, help="angle in radians (two-lines)")
     gen.add_argument("--k", type=int, help="number of tilted blocks")
-    gen.add_argument("--rule", default="inv-k", help="angle rule for tilted blocks")
     gen.add_argument("--dims", help="comma-separated subspace dimensions")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--core-dim", type=int, help="dimension of the forced common core")

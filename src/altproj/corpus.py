@@ -10,7 +10,8 @@ Families:
                    every d >= 4, which makes all angle values exact.
 * ``two_lines``    two lines at a prescribed angle in R^2.
 * ``tilted_pairs`` K independent tilted planes stacked block-diagonally in
-                   R^{2K}; the joint angle is max_k cos(theta_k).
+                   R^{2K}, at angles theta_k = 1/k unless given; the joint
+                   angle is max_k cos(theta_k).
 * ``random_system``  seeded Gaussian spans.
 * ``common_core``  seeded spans all containing a shared core subspace, so
                    the intersection is nontrivial by construction.
@@ -18,14 +19,11 @@ Families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .subspace import Subspace, SubspaceSystem
 
 __all__ = [
-    "FamilySpec",
     "common_core",
     "example3",
     "random_system",
@@ -76,29 +74,19 @@ def two_lines(theta: float) -> SubspaceSystem:
     return SubspaceSystem((first, second))
 
 
-def _resolve_angles(k: int, angle_rule) -> np.ndarray:
-    if isinstance(angle_rule, str):
-        if angle_rule == "inv-k":
-            return 1.0 / np.arange(1, k + 1, dtype=float)
-        raise ValueError(f"unknown angle rule {angle_rule!r}")
-    if callable(angle_rule):
-        return np.array([float(angle_rule(i)) for i in range(1, k + 1)])
-    arr = np.asarray(angle_rule, dtype=float).reshape(-1)
-    if arr.shape[0] != k:
-        raise ValueError(f"expected {k} angles, got {arr.shape[0]}")
-    return arr
-
-
-def tilted_pairs(k: int, angle_rule="inv-k") -> SubspaceSystem:
+def tilted_pairs(k: int, angles=None) -> SubspaceSystem:
     """K tilted planes stacked block-diagonally in R^{2K}.
 
-    Block i holds the horizontal line and a line tilted by theta_i; the
-    rule is "inv-k" (theta_i = 1/i), a callable i -> theta_i, or an array
-    of K angles, each in (0, pi/2].
+    Block i holds the horizontal line and a line tilted by theta_i; angles
+    lists the K angles theta_i, each in (0, pi/2], and None means
+    theta_i = 1/i.
     """
     if k < 1:
         raise ValueError("need at least one block")
-    theta = _resolve_angles(k, angle_rule)
+    theta = (1.0 / np.arange(1, k + 1, dtype=float) if angles is None
+             else np.asarray(angles, dtype=float).reshape(-1))
+    if theta.shape[0] != k:
+        raise ValueError(f"expected {k} angles, got {theta.shape[0]}")
     if ((theta <= 0) | (theta > np.pi / 2)).any():
         raise ValueError("angles must lie in (0, pi/2]")
     d = 2 * k
@@ -148,37 +136,3 @@ def common_core(d: int, dims, core_dim: int, seed: int = 0) -> SubspaceSystem:
         subs.append(Subspace.from_vectors(vectors, ambient_dim=d, name=f"S{j + 1}"))
     return SubspaceSystem(tuple(subs))
 
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Validated parameters for one corpus family, buildable into a system."""
-
-    family: str
-    dim: int | None = None
-    theta: float | None = None
-    k: int | None = None
-    angle_rule: str = "inv-k"
-    dims: tuple[int, ...] | None = None
-    seed: int = 0
-    core_dim: int | None = None
-
-    def build(self) -> SubspaceSystem:
-        if self.family == "example3":
-            return example3(self.dim if self.dim is not None else 12)
-        if self.family == "two_lines":
-            if self.theta is None:
-                raise ValueError("two_lines needs --theta")
-            return two_lines(self.theta)
-        if self.family == "tilted_pairs":
-            if self.k is None:
-                raise ValueError("tilted_pairs needs --k")
-            return tilted_pairs(self.k, self.angle_rule)
-        if self.family == "random":
-            if self.dim is None or self.dims is None:
-                raise ValueError("random needs --dim and --dims")
-            return random_system(self.dim, self.dims, self.seed)
-        if self.family == "common_core":
-            if self.dim is None or self.dims is None or self.core_dim is None:
-                raise ValueError("common_core needs --dim, --dims and --core-dim")
-            return common_core(self.dim, self.dims, self.core_dim, self.seed)
-        raise ValueError(f"unknown family {self.family!r}")

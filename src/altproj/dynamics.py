@@ -112,7 +112,6 @@ class ConvergenceTrace:
     steps: np.ndarray
     errors: np.ndarray
     bounds: dict[str, np.ndarray] = field(default_factory=dict)
-    kind: str = "vector"
 
 
 def iterate_vector(system: SubspaceSystem, x0, schedule: IndexSchedule, n_max: int) -> ConvergenceTrace:
@@ -147,7 +146,7 @@ def iterate_vector(system: SubspaceSystem, x0, schedule: IndexSchedule, n_max: i
     for step in steps:
         a = step @ a
         errors.append(np.linalg.norm(a))
-    return ConvergenceTrace(steps=np.arange(1, n_max + 1), errors=np.array(errors), kind="vector")
+    return ConvergenceTrace(steps=np.arange(1, n_max + 1), errors=np.array(errors))
 
 
 def _reduced_chain(system: SubspaceSystem, indices) -> np.ndarray:
@@ -187,7 +186,7 @@ def operator_error_norms(system: SubspaceSystem, n_max: int) -> ConvergenceTrace
     for i in range(1, n_max):
         power = kw @ power
         errors[i] = operator_norm(power)
-    return ConvergenceTrace(steps=np.arange(1, n_max + 1), errors=errors, kind="operator")
+    return ConvergenceTrace(steps=np.arange(1, n_max + 1), errors=errors)
 
 
 @_derived
@@ -238,7 +237,7 @@ def random_product_norm(system: SubspaceSystem, indices) -> float:
 class SlowSequence:
     """A nonnegative target sequence a_n that decreases to zero.
 
-    Built-ins: power decay a_n = (n + offset)^(-p), log decay
+    Built-ins: power decay a_n = (n + 2)^(-p), log decay
     a_n = 1/log(n + 2), or an explicit list (which may be all zeros for
     degenerate probes).  `values` checks finiteness, nonnegativity and a
     nonincreasing tail over the requested horizon.
@@ -246,14 +245,13 @@ class SlowSequence:
 
     kind: str
     exponent: float = 0.5
-    offset: int = 2
     explicit_values: tuple[float, ...] | None = None
 
     @classmethod
-    def power(cls, exponent: float, offset: int = 2) -> "SlowSequence":
+    def power(cls, exponent: float) -> "SlowSequence":
         if exponent <= 0:
             raise ValueError("power decay needs a positive exponent")
-        return cls(kind="power", exponent=exponent, offset=offset)
+        return cls(kind="power", exponent=exponent)
 
     @classmethod
     def log(cls) -> "SlowSequence":
@@ -268,7 +266,7 @@ class SlowSequence:
             raise ValueError("horizon must be >= 1")
         n = np.arange(1, horizon + 1, dtype=float)
         if self.kind == "power":
-            a = (n + self.offset) ** (-self.exponent)
+            a = (n + 2.0) ** (-self.exponent)
         elif self.kind == "log":
             a = 1.0 / np.log(n + 2.0)
         elif self.kind == "explicit":
@@ -295,22 +293,20 @@ class SlowProbeResult:
     achieved_horizon: int
 
 
-def slow_vector_probe(angles, seq: SlowSequence, horizon: int, decay_floor: float = 0.1) -> SlowProbeResult:
+def slow_vector_probe(angles, seq: SlowSequence, horizon: int) -> SlowProbeResult:
     """Build a vector whose cyclic-iteration error dominates a_n up to the horizon.
 
     The family is the block-diagonal system of K tilted planes with angles
     theta_k; in block k the unit vector along the tilted line decays exactly
     like cos(theta_k)^(2n) per pass.  Blocks are assigned consecutive
     responsibility intervals, fastest-decaying first; block k keeps taking
-    passes while its geometric factor stays above `decay_floor`, and its
+    passes while its geometric factor stays above 0.1, and its
     coefficient is the smallest one dominating a_n on its interval.  The
     result is verified by direct iteration, and `achieved_horizon` reports
     how far the domination actually holds.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if not 0.0 < decay_floor < 1.0:
-        raise ValueError("decay_floor must lie strictly between 0 and 1")
     theta = np.asarray(angles, dtype=float).reshape(-1)
     system = tilted_pairs(len(theta), theta)
     tilted_basis = system.subspaces[1].basis
@@ -327,7 +323,7 @@ def slow_vector_probe(angles, seq: SlowSequence, horizon: int, decay_floor: floa
                 break
             if rho[k] <= 0.0 or rho[k] >= 1.0:
                 continue  # no decay to trade on, or angle below float resolution
-            cap = int(math.floor(math.log(decay_floor) / math.log(rho[k])))
+            cap = int(math.floor(math.log(0.1) / math.log(rho[k])))
             while n <= min(cap, horizon):
                 alpha[k] = max(alpha[k], a[n - 1] / rho[k] ** n)
                 n += 1

@@ -367,6 +367,18 @@ class TestInclination:
             b = inclination(random_system(5, dims, seed=3))
             assert (a.estimate, a.dual_lower) == (b.estimate, b.dual_lower)
 
+    @pytest.mark.xfail(strict=False, reason="the N >= 3 loop starts from the input bases and can settle in "
+                                            "a local basin; another BLAS build may land in the right one")
+    def test_estimate_does_not_depend_on_the_input_basis(self):
+        # M = {0}, so the reduced bases are the input bases bit for bit; with
+        # M_1's columns reversed the loop closes its gap at 0.5627587447,
+        # while the default basis stops at 0.6011922497
+        system = random_system(9, (3, 3, 3), seed=29)
+        first = system.subspaces[0]
+        reversed_first = Subspace(first.ambient_dim, first.basis[:, ::-1], first.name)
+        other = SubspaceSystem((reversed_first, *system.subspaces[1:]))
+        assert abs(inclination(system).estimate - inclination(other).estimate) <= system.tol.check_tol
+
 
 class TestIdentityWeb:
     """Range and cross-route identities on generated systems."""

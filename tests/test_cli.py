@@ -113,12 +113,48 @@ def refuse_to_build(*args, **kwargs):
 
 
 class TestGen:
+    @pytest.mark.parametrize("flags, ambient_dim, dims", [
+        (["--family", "example3", "--dim", "12"], 12, (4, 5, 6)),
+        (["--family", "two-lines", "--theta", "0.5"], 2, (1, 1)),
+        (["--family", "tilted", "--k", "3"], 6, (3, 3)),
+        (["--family", "random", "--dim", "5", "--dims", "2,2", "--seed", "1"], 5, (2, 2)),
+        (["--family", "common-core", "--dim", "5", "--dims", "2,2", "--core-dim", "1"], 5, (2, 2)),
+    ])
+    def test_each_family_builds_from_its_flags(self, capsys, flags, ambient_dim, dims):
+        assert cli.main(["gen", *flags]) == 0
+        system = load_system(capsys.readouterr().out)
+        assert (system.ambient_dim, system.dims) == (ambient_dim, dims)
+
+    @pytest.mark.parametrize("flags, missing", [
+        (["--family", "two-lines"], "--theta"),
+        (["--family", "tilted"], "--k"),
+        (["--family", "random", "--dims", "2,2"], "--dim"),
+        (["--family", "random", "--dim", "5"], "--dims"),
+        (["--family", "common-core", "--dim", "5", "--dims", "2,2"], "--core-dim"),
+    ])
+    def test_missing_flag_exits_one_and_names_it(self, capsys, flags, missing):
+        assert cli.main(["gen", *flags]) == 1
+        assert capsys.readouterr().err == f"altproj: error: {flags[1]} needs {missing}\n"
+
+    @pytest.mark.parametrize("dims", ["", "a"])
+    def test_malformed_dims_exit_one_without_traceback(self, dims):
+        result = run_cli("gen", "--family", "random", "--dim", "5", "--dims", dims)
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1
+
+    def test_rule_flag_is_gone(self):
+        result = run_cli("gen", "--family", "tilted", "--k", "4", "--rule", "inv-k")
+        assert result.returncode == 1
+        assert "unrecognized arguments: --rule" in result.stderr
+
     @pytest.mark.parametrize("flags", [
         ["--family", "random", "--dim", str(cli.MAX_DIM + 1), "--dims", "1,1"],
         ["--family", "tilted", "--k", str(cli.MAX_DIM // 2 + 1)],
     ])
     def test_oversized_ambient_dimension_exits_one_before_building(self, tmp_path, monkeypatch, capsys, flags):
-        monkeypatch.setattr(cli.FamilySpec, "build", refuse_to_build)
+        monkeypatch.setattr(cli, "random_system", refuse_to_build)
+        monkeypatch.setattr(cli, "tilted_pairs", refuse_to_build)
         out = tmp_path / "huge.json"
         assert cli.main(["gen", *flags, "-o", str(out)]) == 1
         assert not out.exists()
@@ -144,7 +180,7 @@ class TestGen:
         assert run_cli(*args).stdout == run_cli(*args).stdout
 
     def test_tilted_family(self):
-        result = run_cli("gen", "--family", "tilted", "--k", "4", "--rule", "inv-k")
+        result = run_cli("gen", "--family", "tilted", "--k", "4")
         assert result.returncode == 0
         system = load_system(result.stdout)
         assert system.ambient_dim == 8 and system.dims == (4, 4)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from altproj.angles import dixmier_number, friedrichs_number
-from altproj.corpus import FamilySpec, common_core, example3, random_system, tilted_pairs, two_lines
+from altproj.corpus import common_core, example3, random_system, tilted_pairs, two_lines
 from altproj.subspace import intersection_of
 from oracles import projector
 
@@ -72,8 +72,8 @@ class TestTiltedPairs:
         assert all(b > a for a, b in zip(values, values[1:]))
         assert values[-1] >= 0.999
 
-    def test_custom_rule_callable(self):
-        system = tilted_pairs(2, lambda k: np.pi / (2 * k))
+    def test_custom_angles(self):
+        system = tilted_pairs(2, [np.pi / 2, np.pi / 4])
         assert friedrichs_number(system) == pytest.approx(np.cos(np.pi / 4), abs=1e-10)
 
     def test_bad_angles_rejected(self):
@@ -116,22 +116,3 @@ class TestCommonCore:
         with pytest.raises(ValueError):
             common_core(5, (2, 3), core_dim=3, seed=0)
 
-
-class TestFamilySpec:
-    def test_dispatch(self):
-        assert FamilySpec("example3", dim=12).build().dims == (4, 5, 6)
-        assert FamilySpec("two_lines", theta=0.5).build().ambient_dim == 2
-        assert FamilySpec("tilted_pairs", k=3).build().ambient_dim == 6
-        assert FamilySpec("random", dim=5, dims=(2, 2), seed=1).build().ambient_dim == 5
-        assert FamilySpec("common_core", dim=5, dims=(2, 2), core_dim=1).build().intersection.dim >= 1
-
-    @pytest.mark.parametrize("spec", [
-        FamilySpec("two_lines"),
-        FamilySpec("tilted_pairs"),
-        FamilySpec("random", dim=5),
-        FamilySpec("common_core", dim=5, dims=(2, 2)),
-        FamilySpec("unknown"),
-    ])
-    def test_missing_parameters_rejected(self, spec):
-        with pytest.raises(ValueError):
-            spec.build()
