@@ -7,7 +7,9 @@ For N subspaces with intersection M the module computes:
 * the non-reduced pair (c0, kappa0) in closed form: kappa0 = ||P_D P_C||^2
   on the product space equals the norm of the mean projector, so the pair
   is (1, 1) when the intersection is nonzero and (c, kappa) otherwise,
-* pairwise angles, prefix angles and Gramian samples,
+* pairwise angles, prefix angles and Gramian samples; a pair cosine is the
+  principal cosine (Bjorck & Golub 1973, a singular value of B_1^T B_2) next
+  after the dim(meet) ones, so no analysis builds a pair system,
 * the inclination  l = inf over unit y orthogonal to M of max_j dist(y, M_j),
   bracketed by [dual_lower, estimate] (a single point where l has a closed form)
   and by the paper's sandwich [1 - sqrt(kappa), min(1, sqrt(2N(1 - sqrt(kappa))))].
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import DEFAULT_TOL, NumericalFailure, TolerancePolicy, operator_norm
-from .subspace import Subspace, SubspaceSystem, _derived
+from .subspace import Subspace, SubspaceSystem, _derived, intersection_of
 
 __all__ = [
     "AngleReport",
@@ -132,9 +134,15 @@ def dixmier_number(system: SubspaceSystem) -> tuple[float, float]:
     return friedrichs_number(system), configuration_constant(system)
 
 
+def _friedrichs_cosine(b1: np.ndarray, b2: np.ndarray, meet_dim: int, check_tol: float) -> float:
+    """Principal cosine meet_dim + 1 of (span b1, span b2), a singular value of b1^T b2; 0 if none is left."""
+    cosines = np.append(np.linalg.svd(b1.T @ b2, compute_uv=False), 0.0)
+    return _checked_range(float(cosines[meet_dim]), 0.0, 1.0, check_tol, "Friedrichs cosine")
+
+
 def pairwise_friedrichs(s1: Subspace, s2: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> float:
-    """Friedrichs cosine ||P_2 P_1 - P_meet||, the reduced-table entry of the pair system (s1, s2)."""
-    return float(pairwise_dixmier_reduced(SubspaceSystem((s1, s2), tol))[0, 1])
+    """Friedrichs cosine ||P_2 P_1 - P_meet|| of the pair (s1, s2), its meet taken under tol."""
+    return _friedrichs_cosine(s1.basis, s2.basis, intersection_of((s1, s2), tol).dim, tol.check_tol)
 
 
 @_derived
@@ -142,34 +150,31 @@ def pairwise_dixmier_reduced(system: SubspaceSystem) -> np.ndarray:
     """Symmetric N x N table of ||P_i~ P_j~|| over the reduced subspaces.
 
     Entry (i, j) is the cosine of the minimal angle between the reduced
-    subspaces i and j, the norm ||R_i^T R_j|| of the Gram block of their
-    bases; the diagonal is 1 for nonzero reduced subspaces and 0 otherwise.
+    subspaces i and j: as P_i P_j = P_M + P_i~ P_j~, the principal cosines of
+    B_i, B_j are dim M ones and then those of R_i^T R_j.  The diagonal is 1
+    for nonzero reduced subspaces and 0 otherwise.
     """
-    n = system.n_subspaces
-    table = np.zeros((n, n))
-    bases = [r.basis for r in system.reduced]
+    n, meet_dim, check_tol = system.n_subspaces, system.intersection.dim, system.tol.check_tol
+    table = np.diag([1.0 if r.dim else 0.0 for r in system.reduced])
+    bases = [s.basis for s in system.subspaces]
     for i in range(n):
-        table[i, i] = 1.0 if system.reduced[i].dim else 0.0
         for j in range(i + 1, n):
-            value = operator_norm(bases[i].T @ bases[j])
-            value = _checked_range(value, 0.0, 1.0, system.tol.check_tol, "pairwise Dixmier number")
-            table[i, j] = table[j, i] = value
+            table[i, j] = table[j, i] = _friedrichs_cosine(bases[i], bases[j], meet_dim, check_tol)
     return table
 
 
 @_derived
 def prefix_friedrichs(system: SubspaceSystem) -> tuple[float, ...]:
-    """c_j = pairwise angle of (M_1 ∩ ... ∩ M_{j-1}, M_j) for j = 2..N.
+    """c_j = Friedrichs cosine of (M_1 ∩ ... ∩ M_{j-1}, M_j) for j = 2..N.
 
-    The pair system of (prefix, M_j) under the system's policy holds the
-    next prefix as its intersection, so each prefix is built once.
+    Each of the N - 2 intermediate prefix meets is taken once, under the
+    system's policy; the last one is M.
     """
-    values = []
-    prefix = system.subspaces[0]
-    for s in system.subspaces[1:]:
-        pair = SubspaceSystem((prefix, s), system.tol)
-        values.append(float(pairwise_dixmier_reduced(pair)[0, 1]))
-        prefix = pair.intersection
+    values, prefix, tol = [], system.subspaces[0], system.tol
+    for j, s in enumerate(system.subspaces[1:], start=2):
+        meet = system.intersection if j == system.n_subspaces else intersection_of((prefix, s), tol)
+        values.append(_friedrichs_cosine(prefix.basis, s.basis, meet.dim, tol.check_tol))
+        prefix = meet
     return tuple(values)
 
 

@@ -194,8 +194,6 @@ def _cmd_bounds(args) -> int:
     system = _read_system(args.system)
     report = bound_report(system, n_max=args.iters)
     entries = []
-    series = {}
-    steps = None
     for check in report.entries:
         entry = {
             "name": check.name,
@@ -205,21 +203,18 @@ def _cmd_bounds(args) -> int:
         }
         if check.max_abs_deviation is not None:
             entry["max_abs_deviation"] = check.max_abs_deviation
-        measured = np.asarray(check.measured, dtype=float)
-        bound = np.asarray(check.bound, dtype=float)
-        if measured.ndim == 0:
-            entry["measured"] = float(measured)
-            entry["bound"] = float(bound)
-        elif check.name in ("corMain", "DeHu"):
-            steps = np.arange(1, measured.shape[0] + 1)
-            series.setdefault("measured_series", measured)
-            series[check.name] = bound
+        if np.ndim(check.measured) == 0:
+            entry["measured"] = float(check.measured)
+            entry["bound"] = float(check.bound)
         entries.append(entry)
     payload = {"degenerate": report.degenerate, "entries": entries}
     _write_output(json.dumps(payload, indent=2), args.output)
-    if args.trace and steps is not None:
-        measured_series = series.pop("measured_series")
-        _write_trace(args.trace, steps, measured_series, series)
+    if args.trace:
+        # corMain (absent on degenerate systems) and DeHu share the trace ||T^n - P_M||, n = 1..iters
+        curves = [check for check in report.entries if check.name in ("corMain", "DeHu")]
+        measured = curves[0].measured
+        _write_trace(args.trace, range(1, len(measured) + 1), measured,
+                     {check.name: check.bound for check in curves})
     return 0
 
 

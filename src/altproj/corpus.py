@@ -100,18 +100,8 @@ def tilted_pairs(k: int, angles=None) -> SubspaceSystem:
 
 
 def random_system(d: int, dims, seed: int = 0) -> SubspaceSystem:
-    """Subspaces spanned by seeded Gaussian vectors, orthonormalized."""
-    dims = [int(m) for m in dims]
-    if len(dims) < 2:
-        raise ValueError("need at least two subspaces")
-    if any(not 0 <= m <= d for m in dims):
-        raise ValueError("each dimension must lie in 0..d")
-    rng = np.random.default_rng(seed)
-    subs = []
-    for j, m in enumerate(dims):
-        vectors = rng.standard_normal((m, d))
-        subs.append(Subspace.from_vectors(vectors, ambient_dim=d, name=f"S{j + 1}"))
-    return SubspaceSystem(tuple(subs))
+    """Subspaces spanned by seeded Gaussian vectors, orthonormalized: `common_core` with no core."""
+    return common_core(d, dims, 0, seed)
 
 
 def common_core(d: int, dims, core_dim: int, seed: int = 0) -> SubspaceSystem:
@@ -123,10 +113,10 @@ def common_core(d: int, dims, core_dim: int, seed: int = 0) -> SubspaceSystem:
     dims = [int(m) for m in dims]
     if len(dims) < 2:
         raise ValueError("need at least two subspaces")
+    if any(not 0 <= m <= d for m in dims):
+        raise ValueError("each dimension must lie in 0..d")
     if not 0 <= core_dim <= min(dims):
         raise ValueError("core_dim must lie in 0..min(dims)")
-    if max(dims) > d:
-        raise ValueError("dimensions cannot exceed the ambient dimension")
     rng = np.random.default_rng(seed)
     core = rng.standard_normal((core_dim, d))
     subs = []

@@ -2,8 +2,11 @@
 
 The analyses need orthonormalization and the operator norm, on bases and
 their Gram blocks; both take plain float64 arrays and are pure functions of
-their inputs.  A `TolerancePolicy` is given to what builds a subspace or a
-system, and every analysis of a system reads the policy the system carries.
+their inputs.  A `TolerancePolicy` (an eigenvalue bucket and an equality
+tolerance) is given to what builds a subspace or a system, and every
+analysis of a system reads the policy the system carries.  The rank cutoff
+of orthonormalization is not part of it: it is fixed at the usual
+rank-revealing max(d, m) * eps * sigma_max.
 """
 
 from __future__ import annotations
@@ -30,27 +33,17 @@ class NumericalFailure(RuntimeError):
 class TolerancePolicy:
     """Thresholds shared by every numeric routine.
 
-    rank_tol   relative singular-value cutoff for rank decisions; None means
-               max(shape) * machine-eps, the usual rank-revealing default
     eig_tol    half-width of the eigenvalue bucket around a target value
     check_tol  default tolerance for equality / membership assertions
     """
 
-    rank_tol: float | None = None
     eig_tol: float = 1e-8
     check_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        named = {"eig_tol": self.eig_tol, "check_tol": self.check_tol}
-        if self.rank_tol is not None:
-            named["rank_tol"] = self.rank_tol
-        for name, value in named.items():
+        for name, value in {"eig_tol": self.eig_tol, "check_tol": self.check_tol}.items():
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie strictly between 0 and 1, got {value}")
-
-    def rank_cutoff(self, shape: tuple[int, int], smax: float) -> float:
-        rel = self.rank_tol if self.rank_tol is not None else max(shape) * np.finfo(float).eps
-        return rel * smax
 
 
 DEFAULT_TOL = TolerancePolicy()
@@ -71,7 +64,8 @@ def orthonormalize(vectors, tol: TolerancePolicy = DEFAULT_TOL, ambient_dim: int
 
     `vectors` is a sequence of equal-length 1-D arrays, or a 2-D array with
     one vector per row.  The result is d x k with k the numerical rank of
-    the input; an empty span yields a d x 0 matrix, never an error.  Inputs
+    the input: its singular values above max(d, m) * eps * sigma_max for m
+    vectors.  An empty span yields a d x 0 matrix, never an error.  Inputs
     whose columns are already orthonormal are returned unchanged, so stored
     bases round-trip exactly through serialization; "already orthonormal"
     never means looser than the default check_tol, the test every
@@ -113,7 +107,7 @@ def orthonormalize(vectors, tol: TolerancePolicy = DEFAULT_TOL, ambient_dim: int
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((d, 0))
-    k = int(np.count_nonzero(s > tol.rank_cutoff((d, m), float(s[0]))))
+    k = int(np.count_nonzero(s > max(d, m) * np.finfo(float).eps * float(s[0])))
     return u[:, :k].copy()
 
 

@@ -14,7 +14,7 @@ from altproj.angles import (
     pairwise_friedrichs,
     prefix_friedrichs,
 )
-from altproj.corpus import common_core, example3, random_system, two_lines
+from altproj.corpus import common_core, example3, random_system, tilted_pairs, two_lines
 from altproj.numerics import operator_norm
 from altproj.subspace import Subspace, SubspaceSystem, intersection_of
 from cases import common_core_batch, coordinate_axes, grid_corpus, random_triples_r9
@@ -183,9 +183,13 @@ class TestPrefixFriedrichs:
     def test_orthogonal_axes(self):
         assert prefix_friedrichs(coordinate_axes(3)) == pytest.approx((0.0, 0.0), abs=1e-12)
 
-    def test_pair_collapses_to_pairwise(self):
-        system = two_lines(0.7)
+    @pytest.mark.parametrize("build", [lambda: two_lines(0.7), lambda: tilted_pairs(5),
+                                       lambda: common_core(4, (2, 2), 1, seed=0)],
+                             ids=["two_lines", "tilted5", "core4"])
+    def test_pair_collapses_to_pairwise(self, build):
+        system = build()
         (value,) = prefix_friedrichs(system)
+        assert value == pairwise_dixmier_reduced(system)[0, 1]
         assert value == pytest.approx(pairwise_friedrichs(*system.subspaces), abs=1e-12)
 
     def test_coordinate_example_against_explicit_prefixes(self):

@@ -19,7 +19,6 @@ def small_matrices(max_dim=64):
 class TestTolerancePolicy:
     def test_defaults(self):
         tol = TolerancePolicy()
-        assert tol.rank_tol is None
         assert tol.eig_tol == 1e-8
         assert tol.check_tol == 1e-8
 
@@ -27,7 +26,6 @@ class TestTolerancePolicy:
         {"eig_tol": 0.0},
         {"eig_tol": 1.5},
         {"check_tol": -1e-3},
-        {"rank_tol": 1.0},
     ])
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ValueError):

@@ -241,7 +241,7 @@ def test_prefix_angles_match_dense(system):
 
 
 def test_prefix_angles_build_each_prefix_once(monkeypatch):
-    system = common_core(10, (4, 4, 4, 4), 1, seed=0)
+    system, pair = common_core(10, (4, 4, 4, 4), 1, seed=0), two_lines(0.7)
     calls = []
 
     def spy(subspaces, tol=DEFAULT_TOL):
@@ -249,6 +249,9 @@ def test_prefix_angles_build_each_prefix_once(monkeypatch):
         return intersection_of(subspaces, tol)
 
     for module in (subspace, angles):
-        monkeypatch.setattr(module, "intersection_of", spy, raising=False)
+        monkeypatch.setattr(module, "intersection_of", spy)
     prefix_friedrichs(system)
-    assert calls == [2] * (system.n_subspaces - 1)
+    # the N - 2 intermediate prefixes; the last prefix meet is M itself
+    assert calls == [2] * (system.n_subspaces - 2)
+    prefix_friedrichs(pair)
+    assert calls == [2] * (system.n_subspaces - 2)

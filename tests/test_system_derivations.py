@@ -3,7 +3,7 @@
 Every analysis reads `system.tol`, and the Gram matrix R^T R of the stacked
 reduced bases, kappa, the angle tables, the cyclic chain (K, K W), the power
 traces and gamma(I - T) are computed once per system and then shared,
-read-only, by every later call.
+read-only, by every later call; no analysis builds a second system.
 """
 
 import dataclasses
@@ -12,9 +12,9 @@ import inspect
 import numpy as np
 import pytest
 
-from altproj import angles, diagnostics, dynamics, subspace
+from altproj import angles, diagnostics, dynamics
 from altproj.angles import angle_report, configuration_constant, pairwise_dixmier_reduced, prefix_friedrichs
-from altproj.corpus import random_system, two_lines
+from altproj.corpus import common_core, random_system, tilted_pairs, two_lines
 from altproj.diagnostics import bound_report, dichotomy_report
 from altproj.dynamics import operator_error_norms, reduced_min_modulus
 from altproj.numerics import DEFAULT_TOL, TolerancePolicy
@@ -75,7 +75,7 @@ def test_reports_derive_each_quantity_once(monkeypatch):
         meets.append(len(subspaces))
         return intersection_of(subspaces, tol)
 
-    monkeypatch.setattr(subspace, "intersection_of", spy)
+    monkeypatch.setattr(angles, "intersection_of", spy)
     kappa = count_derivations(monkeypatch, configuration_constant)
     table = count_derivations(monkeypatch, pairwise_dixmier_reduced)
     prefix = count_derivations(monkeypatch, prefix_friedrichs)
@@ -97,11 +97,31 @@ def test_reports_derive_each_quantity_once(monkeypatch):
     assert chains == [(1, 2, 3), (3, 1)]
     # R^T R is formed once and shared by kappa and the inclination loop
     assert kappa == prefix == gamma == chain == gram == [(system,)]
-    assert meets == [2] * (n - 1)
-    # the table of the system, and one of each pair system of the prefix chain
-    assert len(table) == n and sum(call[0] is system for call in table) == 1
+    # the N - 2 intermediate prefix meets; the last one is M
+    assert meets == [2] * (n - 2)
+    assert table == [(system,)]
     assert sorted(call[1] for call in traces) == [1, 100]
     assert all(call[0] is system for call in traces)
+
+
+@pytest.mark.parametrize("build", [lambda: common_core(10, (4, 4, 4, 4), 1, seed=0),
+                                   lambda: random_system(9, (3, 3, 3), seed=0),
+                                   lambda: tilted_pairs(5)],
+                         ids=["core10", "random9", "tilted5"])
+def test_reports_build_no_system(monkeypatch, build):
+    system = build()
+    built = []
+    post_init = SubspaceSystem.__post_init__
+
+    def spy(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(SubspaceSystem, "__post_init__", spy)
+    angle_report(system)
+    bound_report(system, n_max=100)
+    dichotomy_report(system)
+    assert built == []
 
 
 def test_the_system_and_its_cached_values_refuse_writes():
