@@ -5,11 +5,14 @@ The three subspaces meet pairwise in single axes, so every pairwise
 minimal-angle cosine is 1 and the pairwise product bound degenerates to a
 constant 1 -- yet the joint Friedrichs number is 1/2 and the geometric
 envelope certifies fast uniform convergence.  This script prints both sides
-of that comparison.
+of that comparison, and exits 1 unless the inclination's estimate and its
+dual bound both equal sqrt(1 - kappa) to 1e-12, as the symmetric direction
+attains it.
 """
 
 import argparse
 import json
+import sys
 
 import numpy as np
 
@@ -46,7 +49,12 @@ def main():
     verdict = dichotomy_report(system)
     print(f"\nverdict: {verdict.verdict}, margin 1 - c = {verdict.margin:.6f}")
     print(json.dumps({"near_asc": verdict.near_asc}, indent=None))
+    closed_form = float(np.sqrt(1.0 - report.kappa))
+    if max(abs(inc.estimate - closed_form), abs(inc.dual_lower - closed_form)) > 1e-12:
+        print(f"inclination misses its closed form sqrt(1 - kappa) = {closed_form!r}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -49,9 +49,10 @@ __all__ = [
 class InclinationEstimate:
     """l lies in [dual_lower, estimate], and in the paper's sandwich [lower, upper].
 
-    estimate is max_j dist(y, M_j) at the best unit y evaluated, dual_lower
-    a Lagrangian bound never below sqrt(1 - kappa); `certified` is set when
-    the estimate lands inside [lower - tol, upper + tol].
+    estimate is max_j dist(y, M_j) at the best unit y found, dual_lower the
+    Lagrangian bound sqrt(1 - d) at the best dual weights, never below sqrt(1 - kappa);
+    the two meet within check_tol unless the dual has a gap (see `_inclination_loop`).
+    `certified` is set when the estimate lands inside [lower - tol, upper + tol].
     """
 
     lower: float
@@ -209,98 +210,98 @@ def inclination_bounds(kappa: float, n: int) -> tuple[float, float]:
     return max(0.0, 1.0 - root), min(1.0, float(np.sqrt(max(0.0, 2.0 * n * (1.0 - root)))))
 
 
-def _weighted_dual(gram: np.ndarray, member: np.ndarray, lam: np.ndarray) -> float:
-    """sqrt(1 - lambda_max(sum_j lam_j R_j R_j^T)), a lower bound on l for any simplex weights lam.
+def _inclination_loop(system: SubspaceSystem) -> tuple[float, float]:
+    """(estimate, dual_lower) of l for N >= 3, from the dual d(lam) = lambda_max(sum_j lam_j R_j R_j^T).
 
-    For unit y orthogonal to M, max_j dist(y, M_j)^2 >= sum_j lam_j (1 - ||R_j^T y||^2);
-    sum_j lam_j R_j R_j^T = R D R^T has the nonzero spectrum of D^(1/2) G D^(1/2).
+    For unit y orthogonal to M and lam in the simplex, min_j q_j <= sum_j lam_j q_j
+    <= d(lam), q_j = ||R_j^T y||^2 = 1 - dist(y, M_j)^2: sqrt(1 - d) bounds l below.
+    With S = G^(1/2), sum_j lam_j R_j R_j^T has the nonzero spectrum of the pencil
+    S D(lam) S, linear in lam, so one eigh gives d, its gradient q_j = ||(S u)_j||^2
+    at the top eigenvector u, its eigenvalue Hessian, and y = R S^+ u with those q_j.
+    Newton steps on the simplex from uniform lam close the gap where the top
+    eigenvalue at the minimum is simple (Overton 1988); the answer then depends on
+    the subspaces alone.  While a gap remains, y is sought on the sphere of the top
+    three eigenvectors by a sample and Gauss-Newton on q_j = d, exact where
+    Brickman's theorem gives a zero gap; past that, for the duality-gap class, a
+    heuristic primal search: power steps with multiplicative weights, one Newton
+    restart from their weights, and damped steps up the farthest block's q_j.
     """
-    root = np.sqrt(member @ lam)
-    top = float(np.linalg.eigvalsh(root[:, None] * gram * root)[-1])
-    return float(np.sqrt(max(0.0, 1.0 - top)))
-
-
-def _recovered_weights(gram: np.ndarray, member: np.ndarray, c: np.ndarray, z: np.ndarray,
-                       q: np.ndarray) -> np.ndarray | None:
-    """Simplex weights that make the unit y = R c most nearly an eigenvector of sum_j lam_j R_j R_j^T.
-
-    The best mu in ||sum_j lam_j R_j R_j^T y - mu y|| is sum_j lam_j q_j, which
-    leaves ||sum_j lam_j w_j|| for w_j = R_j R_j^T y - q_j y = R a_j: least
-    squares under sum_j lam_j = 1, solved by its KKT system in the metric G,
-    then clipped to the simplex.  None when every w_j or every weight vanishes.
-    """
-    n = q.shape[0]
-    a = member * z[:, None] - np.outer(c, q)
-    w = a.T @ (gram @ a)
-    scale = float(np.abs(w).max())
-    if not scale > 0.0:
-        return None
-    kkt = np.ones((n + 1, n + 1))
-    kkt[:n, :n], kkt[n, n] = w / scale, 0.0
-    lam = np.maximum(np.linalg.lstsq(kkt, np.eye(n + 1)[n], rcond=None)[0][:n], 0.0)
-    return lam / lam.sum() if lam.sum() > 0.0 else None
-
-
-def _inclination_loop(system: SubspaceSystem, floor: float) -> tuple[float, float]:
-    """(estimate, dual_lower) of l for N >= 3, in the coefficients of the stacked reduced bases R.
-
-    A unit y = R c in the span of R has z = R^T y = G c, ||y||^2 = c . z and
-    ||R_j^T y||^2 = q_j = 1 - dist(y, M_j)^2, so every step is one product
-    with G = R^T R.  Power steps y <- normalize(sum_j lam_j R_j R_j^T y)
-    alternate with multiplicative updates of the simplex weights lam; after
-    32, 64, ..., 512 of them the weights recovered from the best point give a
-    Lagrangian bound, and the loop stops once it meets the estimate within
-    check_tol.  Otherwise the mean weights give one more bound, and while a
-    gap remains damped steps up the farthest block's q_j follow from the
-    best point, closed by one more recovered bound.  sqrt(1 - kappa) = floor
-    is the bound at uniform weights.
-    """
-    n, tol = system.n_subspaces, system.tol.check_tol
-    gram = _reduced_gram(system)
+    n, tol, eps = system.n_subspaces, system.tol.check_tol, np.finfo(float).eps
     member = np.repeat(np.eye(n), [r.dim for r in system.reduced], axis=0)
-    best = [-1.0]
+    g, v = np.linalg.eigh(_reduced_gram(system))
+    root = (v * np.sqrt(np.maximum(g, 0.0))) @ v.T
+    best, low = [-1.0], [np.inf]
 
-    def visit(c):
-        z = gram @ c
-        norm = float(np.sqrt(c @ z))
-        c, z = c / norm, z / norm
+    def visit(u):
+        u = u / np.sqrt(u @ u)
+        z = root @ u
         q = (z * z) @ member
         if q.min() > best[0]:
-            best[:] = q.min(), c, z, q
-        return c, z, q
+            best[:] = q.min(), u, z, q
+        return u, z, q
 
-    def estimate():
-        return float(np.sqrt(max(0.0, 1.0 - best[0])))
+    def solve(lam):
+        mu, vecs = np.linalg.eigh((root * (member @ lam)) @ root)
+        if mu[-1] < low[0]:
+            low[:] = mu[-1], lam, vecs[:, -3:]
+        return mu, vecs, visit(vecs[:, -1])[2]
 
-    def certify(dual):
-        lam = _recovered_weights(gram, member, *best[1:])
-        return dual if lam is None else max(dual, _weighted_dual(gram, member, lam))
+    def gap():
+        return float(np.sqrt(max(0.0, 1.0 - best[0])) - np.sqrt(max(0.0, 1.0 - low[0])))
 
-    lam, lam_sum, dual = np.full(n, 1.0 / n), 0.0, floor
-    # the start R w, w_i = 1/i^2, cannot vanish: ||R w|| >= 1 - (pi^2/6 - 1) for unit columns
-    c, z, q = visit(1.0 / np.arange(1.0, gram.shape[0] + 1.0) ** 2)
-    for t in range(1, _STEP_CAP + 1):
-        lam_sum = lam_sum + lam
+    def newton(lam):
+        mu, vecs, q = solve(lam)
+        while gap() > tol:
+            z = root @ vecs
+            b = (z[:, :-1] * z[:, -1:]).T @ member
+            hess = 2.0 * b.T @ (b / np.maximum(mu[-1] - mu[:-1], eps * mu[-1])[:, None])
+            free = np.flatnonzero((lam > 0.0) | (q < mu[-1]))
+            kkt, scale = np.ones((free.size + 1,) * 2), float(np.abs(hess).max()) or 1.0
+            kkt[:-1, :-1], kkt[-1, -1] = hess[np.ix_(free, free)] / scale, 0.0
+            step = np.zeros(n)
+            step[free] = np.linalg.lstsq(kkt, np.append(-q[free], 0.0) / scale, rcond=None)[0][:-1]
+            shrink = (step < 0.0) & (lam > 0.0)  # a zero weight that the step lowers stays at zero
+            t = min(1.0, float((lam[shrink] / -step[shrink]).min(initial=np.inf)))
+            for _ in range(9):
+                trial = np.where(lam + t * step > eps, lam + t * step, 0.0)
+                trial_mu, trial_vecs, trial_q = solve(trial / trial.sum())
+                if trial_mu[-1] < mu[-1]:
+                    break
+                t /= 2.0
+            if not mu[-1] - trial_mu[-1] > tol * tol:
+                return
+            lam, mu, vecs, q = trial / trial.sum(), trial_mu, trial_vecs, trial_q
+
+    newton(np.full(n, 1.0 / n))
+    if gap() > tol:
+        frame = root @ low[2]
+        height, turn = 1.0 - np.arange(0.5, 64) / 32.0, np.pi * (1.0 + np.sqrt(5.0)) * np.arange(0.5, 64)
+        sphere = np.vstack([np.sqrt(1.0 - height ** 2) * np.array([np.cos(turn), np.sin(turn)]), height])
+        x = sphere[:, ((frame @ sphere) ** 2).T.dot(member).min(axis=1).argmax()]
+        for _ in range(8):
+            y = frame @ x
+            jac = 2.0 * np.vstack([member.T @ (frame * y[:, None]), x])
+            x = x - np.linalg.lstsq(jac, np.append((y * y) @ member - low[0], x @ x - 1.0), rcond=None)[0]
+            visit(low[2] @ x)
+    lam, (_, u, z, q) = low[1], best
+    for _ in range(_STEP_CAP):
+        if gap() <= tol:
+            break
         lam = lam * np.exp(_STEP_SCALE * (q.min() - q))
         lam /= lam.sum()
-        c, z, q = visit((member @ lam) * z)
-        if t >= 32 and t & (t - 1) == 0:  # a power of two
-            dual = certify(dual)
-            if estimate() - dual <= tol:
-                return estimate(), dual
-    dual = max(dual, _weighted_dual(gram, member, lam_sum / _STEP_CAP))
-    _, c, z, q = best
+        u, z, q = visit(root @ ((member @ lam) * z))
+    if gap() > tol:
+        newton(lam)
+    _, u, z, q = best
     for t in range(_STEP_CAP):
         j = q.argmin()
         # half the tangent gradient of min q, R_j R_j^T y - q_j y, has norm sqrt(q_j (1 - q_j))
         length = float(np.sqrt(max(0.0, q[j] * (1.0 - q[j])) * (t + 1.0)))
-        gap = estimate() - dual
-        if gap <= tol or not length > 0.0:
+        if gap() <= tol or not length > 0.0:
             break
-        c, z, q = visit(c + (_STEP_SCALE * gap / length) * (member[:, j] * z - q[j] * c))
-    if estimate() - dual > tol:
-        dual = certify(dual)
-    return estimate(), dual
+        u, z, q = visit(u + (_STEP_SCALE * gap() / length) * (root @ (member[:, j] * z) - q[j] * u))
+    estimate = float(np.sqrt(max(0.0, 1.0 - best[0])))
+    return estimate, min(estimate, float(np.sqrt(max(0.0, 1.0 - low[0]))))  # round-off may cross them
 
 
 def inclination(system: SubspaceSystem) -> InclinationEstimate:
@@ -315,13 +316,12 @@ def inclination(system: SubspaceSystem) -> InclinationEstimate:
         raise ValueError("inclination undefined: the intersection is the whole space")
     n = system.n_subspaces
     kappa = configuration_constant(system)
-    floor = float(np.sqrt(1.0 - kappa))
     if any(r.dim == 0 for r in system.reduced):
         estimate = dual = 1.0
     elif n == 2:
-        estimate = dual = floor
+        estimate = dual = float(np.sqrt(1.0 - kappa))
     else:
-        estimate, dual = _inclination_loop(system, floor)
+        estimate, dual = _inclination_loop(system)
     lower, upper = inclination_bounds(kappa, n)
     certified = lower - system.tol.check_tol <= estimate <= upper + system.tol.check_tol
     return InclinationEstimate(lower, upper, estimate, bool(certified), dual_lower=dual)

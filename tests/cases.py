@@ -69,3 +69,20 @@ def convergence_corpus():
     for s in range(3):
         systems.append((f"core8-{s}", common_core(8, CORE_DIMS[s % len(CORE_DIMS)], 1, seed=s)))
     return systems
+
+
+def inclination_corpus():
+    """167 systems with N >= 3 for the inclination's dual bound: builders, as some are large.
+
+    The symmetric examples, random and common-core triples and quadruples,
+    and small triples and quadruples of which several have a duality gap.
+    """
+    systems = [("example3", lambda: example3(12)), ("axes", lambda: coordinate_axes(3))]
+    systems += [(f"triple9-{s}", lambda s=s: random_system(9, (3, 3, 3), seed=s)) for s in range(65)]
+    systems += [(f"quad12-{s}", lambda s=s: random_system(12, (3, 3, 3, 3), seed=s)) for s in range(50)]
+    systems += [(f"core8-{k}-{s}", lambda k=k, s=s: common_core(8, (3, 4, 3), k, seed=s))
+                for k in (1, 2) for s in range(10)]
+    systems += [(f"core10-{s}", lambda s=s: common_core(10, (4, 4, 4, 4), 1, seed=s)) for s in range(10)]
+    systems += [(f"quad10-{s}", lambda s=s: random_system(10, (3, 3, 3, 3), seed=s)) for s in range(100, 110)]
+    systems += [(f"triple6-{s}", lambda s=s: random_system(6, (2, 2, 2), seed=s)) for s in range(100, 110)]
+    return systems

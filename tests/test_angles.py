@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from altproj import angles
 from altproj.angles import (
     angle_report,
     configuration_constant,
@@ -17,7 +16,7 @@ from altproj.angles import (
 from altproj.corpus import common_core, example3, random_system, tilted_pairs, two_lines
 from altproj.numerics import operator_norm
 from altproj.subspace import Subspace, SubspaceSystem, intersection_of
-from cases import common_core_batch, coordinate_axes, grid_corpus, random_triples_r9
+from cases import common_core_batch, coordinate_axes, grid_corpus, inclination_corpus, random_triples_r9
 from oracles import full_space, grid_inclination, optimal_gram_vectors, product_space, projector
 
 
@@ -253,19 +252,27 @@ class TestGramianSample:
 STRONG_DUALITY = {
     "thin-random400": lambda: random_system(400, (5, 5, 5), seed=2),
     "thin-core400": lambda: common_core(400, (6, 6, 6), 1, seed=0),
+    "triple9-29": lambda: random_system(9, (3, 3, 3), seed=29),
+    **{f"quad12-{s}": (lambda s=s: random_system(12, (3, 3, 3, 3), seed=s)) for s in (6, 12, 21, 37, 39, 49)},
+    **{f"triple6-{s}": (lambda s=s: random_system(6, (2, 2, 2), seed=s)) for s in (104, 107)},
     **{f"triple9-{s}": (lambda s=s: random_system(9, (3, 3, 3), seed=s)) for s in range(10)},
     **{f"core8-{s}": (lambda s=s: common_core(8, (3, 4, 3), 1, seed=s)) for s in range(10)},
 }
 
 
 class TestInclination:
-    def test_orthogonal_axes_bounds(self):
-        est = inclination(coordinate_axes(3))
-        assert est.lower == pytest.approx(1.0 - 1.0 / np.sqrt(3.0), abs=1e-12)
-        assert est.lower - 1e-8 <= est.estimate <= est.upper + 1e-8
+    @pytest.mark.parametrize("build, kappa", [(lambda: coordinate_axes(3), 1.0 / 3.0),
+                                              (lambda: example3(12), 2.0 / 3.0)], ids=["axes", "example3"])
+    def test_orthogonal_axes_bounds(self, build, kappa):
+        est = inclination(build())
+        assert est.lower == pytest.approx(1.0 - np.sqrt(kappa), abs=1e-12)
+        assert est.lower - 1e-12 <= est.estimate <= est.upper + 1e-12
         assert est.certified
-        # symmetric direction (1,1,1)/sqrt(3) realizes the minimum
-        assert est.estimate == pytest.approx(np.sqrt(2.0 / 3.0), abs=1e-6)
+        # the symmetric direction, (1,1,1)/sqrt(3) for the axes, realizes the
+        # minimum: the top eigenspace of the dual is 3-dimensional, and its
+        # zero-gap point meets the bound sqrt(1 - kappa) of uniform weights
+        assert est.estimate == pytest.approx(np.sqrt(1.0 - kappa), abs=1e-12)
+        assert est.dual_lower == pytest.approx(np.sqrt(1.0 - kappa), abs=1e-12)
 
     @pytest.mark.parametrize("theta", [0.3, 0.8, 1.2])
     def test_two_lines_sandwich(self, theta):
@@ -305,44 +312,33 @@ class TestInclination:
         assert est.estimate - est.dual_lower <= system.tol.check_tol
 
     def test_a_met_certificate_stops_the_loop_before_its_cap(self, monkeypatch):
-        recovered, bounds = [], []
-        recover, bound = angles._recovered_weights, angles._weighted_dual
+        solves, exps = [], []
+        eigh, exp = np.linalg.eigh, np.exp
 
-        def recover_spy(*args):
-            recovered.append(recover(*args))
-            return recovered[-1]
+        def eigh_spy(a, *args, **kwargs):
+            solves.append(a.shape)
+            return eigh(a, *args, **kwargs)
 
-        def bound_spy(gram, member, lam):
-            bounds.append(lam)
-            return bound(gram, member, lam)
+        def exp_spy(x, *args, **kwargs):
+            exps.append(x)
+            return exp(x, *args, **kwargs)
 
-        monkeypatch.setattr(angles, "_recovered_weights", recover_spy)
-        monkeypatch.setattr(angles, "_weighted_dual", bound_spy)
         system = random_system(400, (5, 5, 5), seed=2)
+        monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
+        monkeypatch.setattr(np, "exp", exp_spy)
         est = inclination(system)
-        # the mean-weight bound would follow _STEP_CAP power steps: every bound
-        # taken came from weights recovered at one of the steps 32, 64, ..., 512
-        assert 1 <= len(recovered) <= 5
-        assert len(bounds) == len(recovered) and all(b is r for b, r in zip(bounds, recovered))
+        # one eigh of G and one per Newton step on the dual close the gap; no
+        # multiplicative-weight power step (the only caller of np.exp) runs
+        assert 2 <= len(solves) <= 8 and not exps
         assert est.estimate - est.dual_lower <= system.tol.check_tol
 
-    @pytest.mark.parametrize("build", [lambda: random_system(6, (2, 2, 2), seed=102),
-                                       lambda: random_system(10, (3, 3, 3, 3), seed=105)],
-                             ids=["triple6", "quad10"])
-    def test_negative_least_squares_weights_are_clipped_into_a_valid_bound(self, build, monkeypatch):
-        solutions = []
-        lstsq = np.linalg.lstsq
-
-        def spy(a, b, rcond=None):
-            result = lstsq(a, b, rcond=rcond)
-            solutions.append(result[0][:-1])
-            return result
-
-        monkeypatch.setattr(np.linalg, "lstsq", spy)
+    @pytest.mark.parametrize("name, build", inclination_corpus(),
+                             ids=[name for name, _ in inclination_corpus()])
+    def test_the_dual_bound_and_the_estimate_bracket_l(self, name, build):
         system = build()
         est = inclination(system)
-        assert any((lam < 0.0).any() for lam in solutions)
-        assert np.sqrt(1.0 - configuration_constant(system)) <= est.dual_lower <= est.estimate
+        floor = np.sqrt(1.0 - configuration_constant(system))
+        assert floor - 1e-12 <= est.dual_lower <= est.estimate <= est.upper + system.tol.check_tol
 
     @pytest.mark.parametrize("name, system", grid_corpus(), ids=[name for name, _ in grid_corpus()])
     def test_certificate_lies_below_the_estimate_and_the_grid_oracle(self, name, system):
@@ -371,12 +367,9 @@ class TestInclination:
             b = inclination(random_system(5, dims, seed=3))
             assert (a.estimate, a.dual_lower) == (b.estimate, b.dual_lower)
 
-    @pytest.mark.xfail(strict=False, reason="the N >= 3 loop starts from the input bases and can settle in "
-                                            "a local basin; another BLAS build may land in the right one")
     def test_estimate_does_not_depend_on_the_input_basis(self):
-        # M = {0}, so the reduced bases are the input bases bit for bit; with
-        # M_1's columns reversed the loop closes its gap at 0.5627587447,
-        # while the default basis stops at 0.6011922497
+        # M = {0}, so the reduced bases are the input bases bit for bit; l is
+        # 0.5627587447 and the dual closes its gap there from either basis
         system = random_system(9, (3, 3, 3), seed=29)
         first = system.subspaces[0]
         reversed_first = Subspace(first.ambient_dim, first.basis[:, ::-1], first.name)
