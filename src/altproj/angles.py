@@ -166,17 +166,10 @@ def pairwise_dixmier_reduced(system: SubspaceSystem) -> np.ndarray:
 
 @_derived
 def prefix_friedrichs(system: SubspaceSystem) -> tuple[float, ...]:
-    """c_j = Friedrichs cosine of (M_1 ∩ ... ∩ M_{j-1}, M_j) for j = 2..N.
-
-    Each of the N - 2 intermediate prefix meets is taken once, under the
-    system's policy; the last one is M.
-    """
-    values, prefix, tol = [], system.subspaces[0], system.tol
-    for j, s in enumerate(system.subspaces[1:], start=2):
-        meet = system.intersection if j == system.n_subspaces else intersection_of((prefix, s), tol)
-        values.append(_friedrichs_cosine(prefix.basis, s.basis, meet.dim, tol.check_tol))
-        prefix = meet
-    return tuple(values)
+    """c_j = Friedrichs cosine of (M_1 ∩ ... ∩ M_{j-1}, M_j) for j = 2..N, on the system's stored prefix meets."""
+    meets, check_tol = system.meets, system.tol.check_tol
+    return tuple(_friedrichs_cosine(prefix.basis, s.basis, meet.dim, check_tol)
+                 for prefix, s, meet in zip(meets, system.subspaces[1:], meets[1:]))
 
 
 def gramian_sample(system: SubspaceSystem, unit_vectors) -> float:

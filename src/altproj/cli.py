@@ -81,7 +81,8 @@ def load_system(text: str) -> SubspaceSystem:
         if not isinstance(vectors, list):
             raise ValueError('"vectors" must be a list of vector rows')
         for row in vectors:
-            if not isinstance(row, list) or not all(isinstance(x, (int, float)) for x in row):
+            if not isinstance(row, list) or not all(
+                    isinstance(x, (int, float)) and not isinstance(x, bool) for x in row):
                 raise ValueError("every vector row must be a list of numbers")
             if len(row) != dim:
                 raise ValueError("every vector row must have length dim")

@@ -6,7 +6,8 @@ so near-violations caused by round-off stay visible.  Covered bounds:
 
 * ``KW``         exactness of ||(P_2 P_1)^n - P_M|| = c^(2n-1) for pairs,
 * ``corMain``    geometric envelope (1 - ((1-c)/(4N))^2)^(n/2),
-* ``DeHu``       product of pairwise reduced minimal-angle cosines,
+* ``DeHu``       product of pairwise reduced minimal-angle cosines (for a
+                 pair the equality c^(2n-1), with its deviation, as KW),
 * ``estimC``     chained upper bounds on c from the prefix angles,
 * ``eqNorm``     ||T - P_M|| <= sqrt(1 - l^2/N^2),
 * ``eqQua``      l^2/(2 N^2) <= gamma(I - T) <= (2^N - 1) l,
@@ -156,6 +157,8 @@ def dehu_check(system: SubspaceSystem, n_max: int = 100) -> BoundCheck:
     Built from the reduced minimal-angle table; the bound degenerates to 1
     when all the consecutive cosines equal 1, in which case pairwise angles
     cannot certify geometric convergence even though the joint angle can.
+    For a pair the bound is c^(2n-1), which the trace equals (KW), so the
+    margin is round-off of either sign and the deviation is reported.
     """
     check_tol = system.tol.check_tol
     table = pairwise_dixmier_reduced(system)
@@ -166,7 +169,10 @@ def dehu_check(system: SubspaceSystem, n_max: int = 100) -> BoundCheck:
     steps = trace.steps.astype(float)
     bound = wrap ** (steps - 1) * chain ** steps
     note = "uninformative: all consecutive pairwise cosines are 1" if bound.min() >= 1.0 - check_tol else ""
-    return _finish("DeHu", trace.errors, bound, check_tol, note=note)
+    deviation = None
+    if n == 2:
+        note, deviation = "equality expected", float(np.max(np.abs(trace.errors - bound)))
+    return _finish("DeHu", trace.errors, bound, check_tol, note=note, max_abs_deviation=deviation)
 
 
 def estimc_check(system: SubspaceSystem) -> BoundCheck:

@@ -2,11 +2,11 @@
 
 The analyses need orthonormalization and the operator norm, on bases and
 their Gram blocks; both take plain float64 arrays and are pure functions of
-their inputs.  A `TolerancePolicy` (an eigenvalue bucket and an equality
-tolerance) is given to what builds a subspace or a system, and every
-analysis of a system reads the policy the system carries.  The rank cutoff
-of orthonormalization is not part of it: it is fixed at the usual
-rank-revealing max(d, m) * eps * sigma_max.
+their inputs.  A `TolerancePolicy` (one equality and membership tolerance,
+which also bounds the principal sines of a meet) is given to what builds a
+subspace or a system, and every analysis of a system reads the policy the
+system carries.  The rank cutoff of orthonormalization is not part of it:
+it is fixed at the usual rank-revealing max(d, m) * eps * sigma_max.
 """
 
 from __future__ import annotations
@@ -33,17 +33,15 @@ class NumericalFailure(RuntimeError):
 class TolerancePolicy:
     """Thresholds shared by every numeric routine.
 
-    eig_tol    half-width of the eigenvalue bucket around a target value
-    check_tol  default tolerance for equality / membership assertions
+    check_tol  tolerance for equality / membership assertions, and the
+               largest principal sine at which a vector joins a meet
     """
 
-    eig_tol: float = 1e-8
     check_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        for name, value in {"eig_tol": self.eig_tol, "check_tol": self.check_tol}.items():
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must lie strictly between 0 and 1, got {value}")
+        if not 0.0 < self.check_tol < 1.0:
+            raise ValueError(f"check_tol must lie strictly between 0 and 1, got {self.check_tol}")
 
 
 DEFAULT_TOL = TolerancePolicy()

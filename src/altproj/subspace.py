@@ -1,14 +1,14 @@
 """Linear subspaces of R^d and subspace systems.
 
 A `Subspace` stores an orthonormal basis; a `SubspaceSystem` bundles N >= 2
-subspaces of a common ambient space as orthonormal bases only: the
-intersection M, read from the singular vectors of the stacked bases, and
-the reduced subspaces (each component intersected with the orthogonal
-complement of M).  As P_j = P_M + R_j R_j^T
-for the reduced basis R_j, no analysis forms a d x d matrix.  A system is
-frozen and holds its `TolerancePolicy`, which every analysis reads, and what
-`_derived` computes from it once; all of it is a pure function of the bases
-and the policy, so concurrent reads are safe.
+subspaces of a common ambient space as orthonormal bases only: the prefix
+meets M_1 ∩ ... ∩ M_j, each read from the principal sines of the one before
+against M_j, the last being the intersection M, and the reduced subspaces
+(each component intersected with the orthogonal complement of M).  As
+P_j = P_M + R_j R_j^T for the reduced basis R_j, no analysis forms a d x d
+matrix.  A system is frozen and holds its `TolerancePolicy`, which every
+analysis reads, and what `_derived` computes from it once; all of it is a
+pure function of the bases and the policy, so concurrent reads are safe.
 """
 
 from __future__ import annotations
@@ -19,14 +19,7 @@ from functools import wraps
 
 import numpy as np
 
-from .numerics import (
-    DEFAULT_TOL,
-    NumericalFailure,
-    TolerancePolicy,
-    as_matrix,
-    operator_norm,
-    orthonormalize,
-)
+from .numerics import DEFAULT_TOL, NumericalFailure, TolerancePolicy, as_matrix, orthonormalize
 
 __all__ = [
     "Subspace",
@@ -90,40 +83,40 @@ class Subspace:
         return float(np.linalg.norm(residual)) <= tol.check_tol * max(1.0, float(np.linalg.norm(v)))
 
 
-def intersection_of(subspaces, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
-    """Common intersection of one or more subspaces.
+def _prefix_meets(subs: tuple[Subspace, ...], tol: TolerancePolicy) -> tuple[Subspace, ...]:
+    """M_1, M_1 ∩ M_2, ..., M_1 ∩ ... ∩ M_N along the prefix chain.
 
-    M is the eigenvalue-1 eigenspace of the mean projector B B^T / N of the
-    stacked bases B = [B_1 ... B_N]: the left singular vectors of B / sqrt(N)
-    with |sigma^2 - 1| <= eig_tol.  Each is verified to lie in every
-    component; nearly coincident subspaces whose sigma^2 falls inside eig_tol
-    without true containment raise NumericalFailure.
+    The singular values of A - B_j (B_j^T A), for an orthonormal basis A of
+    the current prefix, are the sines of its principal angles to M_j
+    (Bjorck & Golub 1973); the next prefix is spanned by A v for each right
+    singular vector v whose sine is at most check_tol, the membership rule
+    of `Subspace.contains`.  Each meet is a subspace of the one before, so
+    it stays within check_tol of every component it has met.
     """
-    subs = list(subspaces)
+    if any(s.ambient_dim != subs[0].ambient_dim for s in subs):
+        raise ValueError("subspaces must share the ambient dimension")
+    meets = [subs[0]]
+    for s in subs[1:]:
+        a = meets[-1].basis
+        _, sines, vt = np.linalg.svd(a - s.basis @ (s.basis.T @ a), full_matrices=False)
+        meets.append(Subspace(s.ambient_dim, a @ vt[sines <= tol.check_tol].T))
+    return tuple(meets)
+
+
+def intersection_of(subspaces, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
+    """Common intersection of one or more subspaces: the last meet of their prefix chain."""
+    subs = tuple(subspaces)
     if not subs:
         raise ValueError("need at least one subspace")
-    d = subs[0].ambient_dim
-    if any(s.ambient_dim != d for s in subs):
-        raise ValueError("subspaces must share the ambient dimension")
-    if len(subs) == 1:
-        return subs[0]
-    u, sigma, _ = np.linalg.svd(np.hstack([s.basis for s in subs]) / np.sqrt(len(subs)),
-                                full_matrices=False)
-    basis = u[:, np.abs(sigma ** 2 - 1.0) <= tol.eig_tol]
-    for s in subs:
-        if basis.size and operator_norm(basis - s.basis @ (s.basis.T @ basis)) > tol.check_tol:
-            raise NumericalFailure(
-                "intersection basis escapes a component subspace; the configuration "
-                "is below the resolution of the tolerance policy"
-            )
-    return Subspace(d, basis)
+    return _prefix_meets(subs, tol)[-1]
 
 
 @dataclass(frozen=True, eq=False)
 class SubspaceSystem:
     """An ordered family of N >= 2 subspaces of a common R^d, under one policy.
 
-    The intersection and the reduced subspaces are computed once at
+    The prefix meets M_1 ∩ ... ∩ M_j for j = 1..N, the last of which is the
+    intersection, and the reduced subspaces are computed once at
     construction; the analyses' derived quantities are computed on first
     use and kept.
     """
@@ -131,7 +124,7 @@ class SubspaceSystem:
     subspaces: tuple[Subspace, ...]
     tol: TolerancePolicy = DEFAULT_TOL
     ambient_dim: int = field(init=False)
-    intersection: Subspace = field(init=False, repr=False)
+    meets: tuple[Subspace, ...] = field(init=False, repr=False)
     reduced: tuple[Subspace, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -139,15 +132,14 @@ class SubspaceSystem:
         if len(subs) < 2:
             raise ValueError("a system needs at least two subspaces")
         d = subs[0].ambient_dim
-        if any(s.ambient_dim != d for s in subs):
-            raise ValueError("subspaces must share the ambient dimension")
-        meet = intersection_of(subs, self.tol)
+        meets = _prefix_meets(subs, self.tol)
+        meet = meets[-1]
         reduced = []
         for s in subs:
-            # containment of the intersection is verified above, so the shaved
-            # basis has rank dim(M_j) - dim(M) exactly; forcing that rank keeps
-            # the identity even when a component coincides with the intersection
-            # and the residual is pure round-off
+            # M lies within check_tol of every component (its sines), so the
+            # shaved basis has rank dim(M_j) - dim(M) exactly; forcing that
+            # rank keeps the identity even when a component coincides with
+            # the intersection and the residual is pure round-off
             rank = s.dim - meet.dim
             if rank == 0:
                 basis = np.zeros((d, 0))
@@ -160,8 +152,13 @@ class SubspaceSystem:
             reduced.append(Subspace(d, basis, name=f"{s.name}~" if s.name else ""))
         object.__setattr__(self, "subspaces", subs)
         object.__setattr__(self, "ambient_dim", d)
-        object.__setattr__(self, "intersection", meet)
+        object.__setattr__(self, "meets", meets)
         object.__setattr__(self, "reduced", tuple(reduced))
+
+    @property
+    def intersection(self) -> Subspace:
+        """M = M_1 ∩ ... ∩ M_N, the last prefix meet."""
+        return self.meets[-1]
 
     @property
     def n_subspaces(self) -> int:

@@ -13,6 +13,7 @@ from altproj import cli
 from altproj.angles import angle_report
 from altproj.cli import dump_system, load_system
 from altproj.corpus import example3, two_lines
+from altproj.numerics import NumericalFailure
 
 
 def run_cli(*args, **kwargs):
@@ -57,6 +58,7 @@ class TestSystemFile:
         {"dim": [2], "subspaces": [{"vectors": []}, {"vectors": []}]},
         {"dim": float("inf"), "subspaces": [{"vectors": []}, {"vectors": []}]},
         {"dim": 2.5, "subspaces": [{"vectors": [[1.0, 0.0]]}, {"vectors": [[0.0, 1.0]]}]},
+        {"dim": 2, "subspaces": [{"vectors": [[True, 0]]}, {"vectors": [[1, 0]]}]},
     ])
     def test_malformed_schema_exits_one_without_traceback(self, tmp_path, doc):
         path = tmp_path / "bad.json"
@@ -233,17 +235,18 @@ class TestAngles:
     def test_missing_file_exit_one(self):
         assert run_cli("angles", "/nonexistent/sys.json").returncode == 1
 
-    def test_numerical_failure_exit_two(self, tmp_path):
-        # nearly coincident lines sit below the tolerance policy's resolution
-        eps = 1e-6
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"dim": 2, "subspaces": [
-            {"name": "a", "vectors": [[1.0, 0.0]]},
-            {"name": "b", "vectors": [[np.cos(eps), np.sin(eps)]]},
-        ]}))
-        result = run_cli("angles", str(path))
-        assert result.returncode == 2
-        assert "numerical failure" in result.stderr
+    def test_numerical_failure_exit_two(self, tmp_path, monkeypatch, capsys):
+        # in-process: the analysis of a well-posed file is made to fail
+        def fail(system):
+            raise NumericalFailure("forced")
+
+        monkeypatch.setattr(cli, "angle_report", fail)
+        path = tmp_path / "lines.json"
+        path.write_text(dump_system(two_lines(0.5)))
+        assert cli.main(["angles", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines() == ["altproj: numerical failure: forced"]
 
 
 class TestIterate:
@@ -306,6 +309,8 @@ class TestBounds:
         payload = json.loads(run_cli("bounds", str(path)).stdout)
         entries = {e["name"]: e for e in payload["entries"]}
         assert entries["KW"]["max_abs_deviation"] <= 1e-8
+        assert entries["DeHu"]["max_abs_deviation"] <= 1e-8
+        assert entries["DeHu"]["note"] == "equality expected" and "margin" in entries["DeHu"]
         assert all(e["satisfied"] for e in payload["entries"])
 
     def test_random_triple_all_bounds_hold(self, tmp_path):

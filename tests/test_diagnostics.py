@@ -3,7 +3,7 @@ import pytest
 
 from altproj import angles, diagnostics
 from altproj.angles import configuration_constant, friedrichs_number, inclination, prefix_friedrichs
-from altproj.corpus import example3, random_system, tilted_pairs, two_lines
+from altproj.corpus import common_core, example3, random_system, tilted_pairs, two_lines
 from altproj.diagnostics import (
     NEAR_ASC_MARGIN,
     bound_report,
@@ -83,6 +83,20 @@ class TestDehuCheck:
     @pytest.mark.parametrize("seed", range(8))
     def test_random_triples(self, seed):
         assert dehu_check(random_system(9, (3, 3, 3), seed=seed), n_max=50).satisfied
+
+    @pytest.mark.parametrize("build", [lambda: common_core(4, (3, 2), 1, seed=3), lambda: two_lines(1.0)],
+                             ids=["core4-32-3", "lines(1.0)"])
+    def test_pair_is_the_kw_equality(self, build):
+        # c^(n-1) c^n = c^(2n-1) equals the trace, so the margin is round-off
+        # of either sign and the deviation is what the entry reports
+        system = build()
+        check = dehu_check(system, n_max=100)
+        bound, measured = np.asarray(check.bound), np.asarray(check.measured)
+        assert check.note == kw_check(system).note == "equality expected"
+        assert check.max_abs_deviation == float(np.max(np.abs(measured - bound))) <= 1e-12
+        assert check.margin == float(np.min(bound - measured))
+        assert check.satisfied
+        assert [e.note for e in bound_report(system).entries if e.name == "DeHu"] == ["equality expected"]
 
 
 class TestEstimcCheck:

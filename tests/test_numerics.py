@@ -19,12 +19,11 @@ def small_matrices(max_dim=64):
 class TestTolerancePolicy:
     def test_defaults(self):
         tol = TolerancePolicy()
-        assert tol.eig_tol == 1e-8
         assert tol.check_tol == 1e-8
 
     @pytest.mark.parametrize("kwargs", [
-        {"eig_tol": 0.0},
-        {"eig_tol": 1.5},
+        {"check_tol": 0.0},
+        {"check_tol": 1.5},
         {"check_tol": -1e-3},
     ])
     def test_rejects_out_of_range(self, kwargs):
@@ -164,6 +163,5 @@ class TestPrincipalEigenspace:
             principal_eigenspace(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
     def test_eig_tol_widens_selection(self):
-        wide = TolerancePolicy(eig_tol=0.2)
-        basis = principal_eigenspace(np.diag([1.0, 0.9, 0.0]), 1.0, wide)
+        basis = principal_eigenspace(np.diag([1.0, 0.9, 0.0]), 1.0, eig_tol=0.2)
         assert basis.shape == (3, 2)

@@ -251,7 +251,6 @@ def test_prefix_angles_build_each_prefix_once(monkeypatch):
     for module in (subspace, angles):
         monkeypatch.setattr(module, "intersection_of", spy)
     prefix_friedrichs(system)
-    # the N - 2 intermediate prefixes; the last prefix meet is M itself
-    assert calls == [2] * (system.n_subspaces - 2)
     prefix_friedrichs(pair)
-    assert calls == [2] * (system.n_subspaces - 2)
+    # every prefix meet is stored at construction, so none is taken again
+    assert calls == []

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+import cases
+from altproj.angles import friedrichs_number
 from altproj.corpus import common_core, example3, random_system, two_lines
+from altproj.diagnostics import dichotomy_report
 from altproj.numerics import DEFAULT_TOL, NumericalFailure, TolerancePolicy
 from altproj.subspace import Subspace, SubspaceSystem, intersection_of, reduce_mod_intersection
 from oracles import full_space, orthogonal_complement, projector
@@ -88,17 +91,28 @@ class TestIntersection:
         s = line([1.0, 2.0, 0.0], d=3)
         assert intersection_of([s]) is s
 
-    @pytest.mark.parametrize("theta", [1e-5, 1e-4])
-    def test_near_coincident_lines_fail_loudly(self, theta):
-        # below the policy's resolution the top eigenvalue is inside eig_tol
-        # without true containment
+    @pytest.mark.parametrize("theta", [1e-9, 1e-8])
+    def test_lines_at_the_resolution_floor_coincide(self, theta):
+        # the principal sine sin(theta) is within check_tol = 1e-8, so the
+        # second line passes the membership rule of the first
+        system = two_lines(theta)
+        assert system.intersection.dim == 1
+        assert system.degenerate
+
+    def test_near_coincident_lines_fail_loudly(self):
+        # sin(1.2e-8) clears check_tol, so M = {0}; but lambda_max(R^T R) =
+        # 1 + cos(theta) rounds to 2, c to 1.0, and the verdict's web breaks
+        system = two_lines(1.2e-8)
+        assert system.intersection.dim == 0
         with pytest.raises(NumericalFailure):
-            two_lines(theta)
+            dichotomy_report(system)
 
     def test_lines_just_above_the_resolution_floor_meet_trivially(self):
-        # 1 - cos(theta/2)^2 = theta^2/4 = 2.25e-8 clears eig_tol = 1e-8;
-        # at theta = 2e-4 it equals eig_tol, the edge of the bucket
-        assert two_lines(3e-4).intersection.dim == 0
+        # above 1.83e-8, 1 + cos(theta) no longer rounds to 2 and c < 1
+        system = two_lines(3e-8)
+        assert system.intersection.dim == 0
+        assert friedrichs_number(system) < 1.0
+        assert dichotomy_report(system).verdict == "QUC"
 
 
 class TestReduce:
@@ -178,3 +192,29 @@ class TestSystemInvariants:
         sys2 = SubspaceSystem((line([1.0, 0.0]), line([1.0, 0.0])))
         assert sys2.degenerate
         assert not two_lines(0.5).degenerate
+
+
+def stored_meet_cases():
+    """Every corpus of `cases`, and two lines around the resolution floor, as builders."""
+    built = [(f"pairs-{i}", s) for i, s in enumerate(cases.random_pairs_r8())]
+    built += [(f"triples-{i}", s) for i, s in enumerate(cases.random_triples_r9())]
+    built += [(f"batch-{i}", s) for i, s in enumerate(cases.common_core_batch())]
+    built += [(f"grid-{name}", s) for name, s in cases.grid_corpus()]
+    built += [(f"conv-{name}", s) for name, s in cases.convergence_corpus()]
+    builders = [(name, lambda s=s: s) for name, s in built]
+    builders += [(f"incl-{name}", build) for name, build in cases.inclination_corpus()]
+    builders += [(f"lines({theta:g})", lambda theta=theta: two_lines(theta))
+                 for theta in (1e-9, 1e-8, 1.2e-8, 3e-8, 1e-6)]
+    return builders
+
+
+@pytest.mark.parametrize("build", [pytest.param(build, id=name) for name, build in stored_meet_cases()])
+def test_every_stored_meet_lies_in_its_prefix(build):
+    # the membership the construction promises: M_1 ∩ ... ∩ M_j passes
+    # Subspace.contains for each of M_1..M_j under the system's policy
+    system = build()
+    assert len(system.meets) == system.n_subspaces
+    for j, meet in enumerate(system.meets):
+        for v in meet.basis.T:
+            assert all(s.contains(v, system.tol) for s in system.subspaces[:j + 1])
+    assert system.meets[-1] is system.intersection

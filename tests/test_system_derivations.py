@@ -22,8 +22,8 @@ from altproj.subspace import SubspaceSystem, intersection_of
 
 
 def test_analyses_honour_the_policy_of_the_system():
-    # under eig_tol = 1e-6 two lines at 1e-3 coincide: sin^2(theta/2) = 2.5e-7
-    loose = TolerancePolicy(eig_tol=1e-6, check_tol=1e-3)
+    # under check_tol = 1e-3 two lines at 1e-3 coincide: their sine is sin(1e-3) <= 1e-3
+    loose = TolerancePolicy(check_tol=1e-3)
     system = SubspaceSystem(two_lines(1e-3).subspaces, tol=loose)
     assert system.intersection.dim == 1
     assert system.degenerate
@@ -88,7 +88,6 @@ def test_reports_derive_each_quantity_once(monkeypatch):
     bound_report(system, n_max=100)
     dichotomy_report(system)
 
-    n = system.n_subspaces
     # the kappa eigensolve is the one of the unweighted Gram matrix of the
     # stacked reduced bases; the inclination certificate solves a weighted one
     stacked = np.hstack([r.basis for r in system.reduced])
@@ -97,8 +96,8 @@ def test_reports_derive_each_quantity_once(monkeypatch):
     assert chains == [(1, 2, 3), (3, 1)]
     # R^T R is formed once and shared by kappa and the inclination loop
     assert kappa == prefix == gamma == chain == gram == [(system,)]
-    # the N - 2 intermediate prefix meets; the last one is M
-    assert meets == [2] * (n - 2)
+    # the prefix meets are stored at construction; no analysis takes one
+    assert meets == []
     assert table == [(system,)]
     assert sorted(call[1] for call in traces) == [1, 100]
     assert all(call[0] is system for call in traces)
