@@ -10,7 +10,7 @@ Subcommands:
 
 All commands are deterministic given their flags.  Exit codes: 0 success or
 informative outcome, 1 usage error (bad flags or malformed input, including
-an ambient dimension above MAX_DIM in a system file or flags), 2 numerical failure.
+a count above MAX_COUNT or an ambient dimension above MAX_DIM), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .subspace import Subspace, SubspaceSystem
 __all__ = ["main", "load_system", "dump_system"]
 
 MAX_DIM = 2**14  # largest "dim" of a system file, a sanity bound: no command forms a d x d matrix
+MAX_COUNT = 10**7  # largest --iters or --horizon, a sanity bound: 80 MB of float64 errors
 
 
 class _Parser(argparse.ArgumentParser):
@@ -297,6 +298,9 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    for flag in ("iters", "horizon"):  # refused before anything is allocated
+        if getattr(args, flag, 0) > MAX_COUNT:
+            parser.error(f"--{flag} must be at most {MAX_COUNT}")
     try:
         return args.func(args)
     except NumericalFailure as exc:

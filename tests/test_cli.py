@@ -114,6 +114,14 @@ def refuse_to_build(*args, **kwargs):
     raise AssertionError("a system was built for an oversized ambient dimension")
 
 
+def assert_huge_count_refused(command, flag):
+    """A count far past MAX_COUNT exits 1 with a usage error, not an allocation traceback."""
+    result = run_cli(*command, flag, str(10**14))
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert f"{flag} must be at most {cli.MAX_COUNT}" in result.stderr
+
+
 class TestGen:
     @pytest.mark.parametrize("flags, ambient_dim, dims", [
         (["--family", "example3", "--dim", "12"], 12, (4, 5, 6)),
@@ -250,6 +258,11 @@ class TestAngles:
 
 
 class TestIterate:
+    def test_huge_iteration_count_exits_one_without_traceback(self, tmp_path):
+        path = tmp_path / "sys.json"
+        path.write_text(dump_system(two_lines(0.5)))
+        assert_huge_count_refused(["iterate", str(path)], "--iters")
+
     def test_cyclic_coordinate_example(self, tmp_path):
         path = tmp_path / "sys.json"
         run_cli("gen", "--family", "example3", "--dim", "12", "-o", str(path))
@@ -290,6 +303,11 @@ class TestIterate:
 
 
 class TestBounds:
+    def test_huge_iteration_count_exits_one_without_traceback(self, tmp_path):
+        path = tmp_path / "sys.json"
+        path.write_text(dump_system(two_lines(0.5)))
+        assert_huge_count_refused(["bounds", str(path)], "--iters")
+
     def test_coordinate_example_report(self, tmp_path):
         path = tmp_path / "sys.json"
         run_cli("gen", "--family", "example3", "--dim", "12", "-o", str(path))
@@ -322,6 +340,9 @@ class TestBounds:
 
 
 class TestProbeSlow:
+    def test_huge_horizon_exits_one_without_traceback(self):
+        assert_huge_count_refused(["probe-slow", "--k", "2"], "--horizon")
+
     def test_success_run(self, tmp_path):
         trace = tmp_path / "probe.csv"
         result = run_cli("probe-slow", "--k", "60", "--seq", "pow:0.5", "--horizon", "100",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from altproj.dynamics import (
     reduced_min_modulus,
     slow_vector_probe,
 )
+from altproj.numerics import operator_norm
 from altproj.subspace import Subspace, SubspaceSystem
 from cases import convergence_corpus, coordinate_axes
 from oracles import circle_min_modulus, cyclic_operator, full_space, projector
@@ -45,6 +48,13 @@ class TestIndexSchedule:
         idx = sched.first(200)
         for start in range(200 - window + 1):
             assert set(idx[start:start + window]) == {1, 2, 3}
+
+    @pytest.mark.parametrize("window, stream", [
+        (5, [2, 3, 1, 1, 3, 2, 3, 2, 1, 2, 1, 3]),  # fresh permutations: window >= 2N - 1
+        (3, [2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1]),  # one permutation, tiled
+    ])
+    def test_covering_streams_are_pinned(self, window, stream):
+        assert IndexSchedule.random(3, seed=5, coverage_window=window).first(12).tolist() == stream
 
     def test_window_shorter_than_alphabet_rejected(self):
         with pytest.raises(ValueError):
@@ -172,6 +182,96 @@ class TestOperatorErrorNorms:
             q = projector(r) @ q
         np.testing.assert_allclose(t - pm, q, atol=1e-10)
         np.testing.assert_allclose(t @ t - pm, q @ q, atol=1e-10)
+
+
+POWER_SYSTEMS = {
+    "tilted6": lambda: tilted_pairs(6),
+    "triple9": lambda: random_system(9, (3, 3, 3), seed=1),
+    "core8": lambda: common_core(8, (3, 4, 3), 1, seed=0),
+    "example3": lambda: example3(12),
+}
+POWER_COUNTS = [1, 2, 3, 4, 5, 15, 16, 17, 99, 100, 101, 300]
+
+
+class TestPowerBlocks:
+    """The sqrt(n)-blocked power walk against a plain walk of one power per step."""
+
+    @staticmethod
+    def reduced_product(system):
+        """Q = (P_N - P_M) ... (P_1 - P_M), so T^n - P_M = Q^n with no P_M to subtract."""
+        q = np.eye(system.ambient_dim)
+        for r in system.reduced:
+            q = projector(r) @ q
+        return q
+
+    @pytest.mark.parametrize("n_max", POWER_COUNTS)
+    @pytest.mark.parametrize("name", sorted(POWER_SYSTEMS))
+    def test_operator_errors_match_a_per_power_loop(self, name, n_max):
+        system = POWER_SYSTEMS[name]()
+        q = self.reduced_product(system)
+        power, expected = q, []
+        for _ in range(n_max):
+            expected.append(operator_norm(power))
+            power = q @ power
+        np.testing.assert_allclose(operator_error_norms(system, n_max).errors, expected, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n_max", POWER_COUNTS)
+    @pytest.mark.parametrize("name", sorted(POWER_SYSTEMS))
+    def test_cyclic_trace_matches_a_per_pass_loop(self, name, n_max):
+        system = POWER_SYSTEMS[name]()
+        x0 = np.random.default_rng(n_max).standard_normal(system.ambient_dim)
+        q, v, expected = self.reduced_product(system), x0, []
+        for _ in range(n_max):
+            v = q @ v
+            expected.append(np.linalg.norm(v))
+        got = iterate_vector(system, x0, IndexSchedule.cyclic(system.n_subspaces), n_max).errors
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14 * np.linalg.norm(x0))
+
+    @pytest.mark.parametrize("name", sorted(POWER_SYSTEMS))
+    def test_a_shorter_walk_is_a_prefix_of_a_longer_one(self, name):
+        system = POWER_SYSTEMS[name]()
+        x0 = np.random.default_rng(0).standard_normal(system.ambient_dim)
+        schedule = IndexSchedule.cyclic(system.n_subspaces)
+        ops = operator_error_norms(system, 300).errors
+        vecs = iterate_vector(system, x0, schedule, 300).errors
+        for m in (1, 2, 3, 8, 15, 16, 17, 50, 120, 299):
+            np.testing.assert_allclose(operator_error_norms(system, m).errors, ops[:m], rtol=0, atol=1e-14)
+            np.testing.assert_allclose(iterate_vector(system, x0, schedule, m).errors, vecs[:m],
+                                       rtol=0, atol=1e-14 * np.linalg.norm(x0))
+
+    def test_subspaces_equal_to_the_intersection_give_zero_traces(self):
+        system = SubspaceSystem((line([1.0, 0.0]), line([1.0, 0.0])))
+        assert operator_error_norms(system, 7).errors.tolist() == [0.0] * 7
+        assert iterate_vector(system, [3.0, 4.0], IndexSchedule.cyclic(2), 7).errors.tolist() == [0.0] * 7
+
+    def test_one_power_forms_no_giant_step(self, monkeypatch):
+        calls = []
+        matrix_power = np.linalg.matrix_power
+
+        def spy(a, n):
+            calls.append(n)
+            return matrix_power(a, n)
+
+        monkeypatch.setattr(np.linalg, "matrix_power", spy)
+        system = tilted_pairs(6)
+        operator_error_norms(system, 1)
+        iterate_vector(system, np.ones(12), IndexSchedule.cyclic(2), 1)
+        assert calls == []
+        operator_error_norms(system, 5)
+        assert calls == [2]
+
+    def test_only_one_block_of_powers_is_held(self):
+        # a full (n_max, r, r) stack of the 400 powers of a 60 x 60 chain is 11.5 MB
+        system = tilted_pairs(60)
+        operator_error_norms(system, 1)  # the chain K, K W is derived once, outside the window
+        full_stack = 400 * 60 * 60 * 8
+        tracemalloc.start()
+        try:
+            operator_error_norms(system, 400)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < full_stack / 4
 
 
 class TestReducedMinModulus:
