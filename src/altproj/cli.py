@@ -121,34 +121,25 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
         raise ValueError(f"{flag} expects a comma-separated list of integers") from exc
 
 
-_GEN_NEEDS = {  # --family -> the flags it requires
-    "example3": (),
-    "two-lines": ("--theta",),
-    "tilted": ("--k",),
-    "random": ("--dim", "--dims"),
-    "common-core": ("--dim", "--dims", "--core-dim"),
+_FAMILIES = {  # --family -> (the flags it requires, its builder)
+    "example3": ((), lambda a: example3() if a.dim is None else example3(a.dim)),
+    "two-lines": (("--theta",), lambda a: two_lines(a.theta)),
+    "tilted": (("--k",), lambda a: tilted_pairs(a.k)),
+    "random": (("--dim", "--dims"), lambda a: random_system(a.dim, a.dims, a.seed)),
+    "common-core": (("--dim", "--dims", "--core-dim"), lambda a: common_core(a.dim, a.dims, a.core_dim, a.seed)),
 }
 
 
 def _cmd_gen(args) -> int:
     args.dims = _parse_int_list(args.dims, "--dims") if args.dims else None
-    missing = [flag for flag in _GEN_NEEDS[args.family] if getattr(args, flag[2:].replace("-", "_")) is None]
+    needs, build = _FAMILIES[args.family]
+    missing = [flag for flag in needs if getattr(args, flag[2:].replace("-", "_")) is None]
     if missing:
         raise ValueError(f"{args.family} needs {' and '.join(missing)}")
     ambient = 2 * args.k if args.family == "tilted" else args.dim
     if ambient is not None and ambient > MAX_DIM:  # refused before anything is built
         raise ValueError(f"ambient dimension must lie in 1..{MAX_DIM}, got {ambient}")
-    if args.family == "example3":
-        system = example3() if args.dim is None else example3(args.dim)
-    elif args.family == "two-lines":
-        system = two_lines(args.theta)
-    elif args.family == "tilted":
-        system = tilted_pairs(args.k)
-    elif args.family == "random":
-        system = random_system(args.dim, args.dims, args.seed)
-    else:
-        system = common_core(args.dim, args.dims, args.core_dim, args.seed)
-    _write_output(dump_system(system), args.output)
+    _write_output(dump_system(build(args)), args.output)
     return 0
 
 
@@ -250,8 +241,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="emit a system file for a named family")
-    gen.add_argument("--family", required=True,
-                     choices=["example3", "two-lines", "tilted", "random", "common-core"])
+    gen.add_argument("--family", required=True, choices=list(_FAMILIES))
     gen.add_argument("--dim", type=int, help="ambient dimension")
     gen.add_argument("--theta", type=float, help="angle in radians (two-lines)")
     gen.add_argument("--k", type=int, help="number of tilted blocks")

@@ -86,7 +86,7 @@ class IndexSchedule:
             raise ValueError("count must be nonnegative")
         n = self.n_subspaces
         if self.kind == "cyclic":
-            return np.tile(np.arange(1, n + 1), -(-count // n) or 1)[:count]
+            return np.resize(np.arange(1, n + 1), count)
         if self.kind == "explicit":
             if count > len(self.indices):
                 raise ValueError("explicit schedule exhausted")
@@ -94,10 +94,8 @@ class IndexSchedule:
         rng = np.random.default_rng(self.seed)
         if self.coverage_window is None:
             return rng.integers(1, n + 1, size=count)
-        blocks = -(-count // n) or 1
-        tiled = self.coverage_window < 2 * n - 1
-        perms = [rng.permutation(n)] * blocks if tiled else [rng.permutation(n) for _ in range(blocks)]
-        return np.concatenate(perms)[:count] + 1
+        rows = 1 if self.coverage_window < 2 * n - 1 else -(-count // n)
+        return np.resize(rng.permuted(np.tile(np.arange(1, n + 1), (rows, 1)), axis=1), count)
 
 
 @dataclass(eq=False)

@@ -13,7 +13,6 @@ pure function of the bases and the policy, so concurrent reads are safe.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 from functools import wraps
 
@@ -141,9 +140,7 @@ class SubspaceSystem:
             # rank keeps the identity even when a component coincides with
             # the intersection and the residual is pure round-off
             rank = s.dim - meet.dim
-            if rank == 0:
-                basis = np.zeros((d, 0))
-            elif meet.dim == 0:
+            if meet.dim == 0:
                 basis = s.basis
             else:
                 shaved = s.basis - meet.basis @ (meet.basis.T @ s.basis)
@@ -175,21 +172,22 @@ class SubspaceSystem:
 
 
 def _derived(fn):
-    """Compute fn(system, *args) once per system and argument values.
+    """Compute fn(system, arg) once per system and argument value.
 
-    The value is kept in the system's __dict__, with its arrays
-    (or its fields' arrays) read-only.  A miss calls `__wrapped__`, which a
-    test may replace to count derivations.
+    The key is the call as made, name and argument values; a positional and
+    a keyword call share it because no derived function takes more than one
+    argument after the system, a rule each new one must keep.  The value is
+    kept in the system's __dict__, with its arrays (or its fields' arrays)
+    read-only.  A miss calls `__wrapped__`, which a test may replace to count
+    derivations.
     """
-    signature = inspect.signature(fn)
 
     @wraps(fn)
-    def once(*args, **kwargs):
-        system, *rest = signature.bind(*args, **kwargs).arguments.values()
+    def once(system, *args, **kwargs):
         memo = system.__dict__.setdefault("_derived", {})
-        key = (fn.__name__, *rest)
+        key = (fn.__name__, *args, *kwargs.values())
         if key not in memo:
-            value = once.__wrapped__(*args, **kwargs)
+            value = once.__wrapped__(system, *args, **kwargs)
             items = value if isinstance(value, tuple) else getattr(value, "__dict__", {}).values()
             for part in (value, *items):
                 if isinstance(part, np.ndarray):

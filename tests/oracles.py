@@ -241,6 +241,27 @@ def dense_iterate(system, x0, schedule, n_max):
     return errors
 
 
+def block_stream(schedule, count):
+    """The first `count` indices of a cyclic or random schedule, built block by block.
+
+    The cyclic stream is 1..N tiled and cut; a covering random stream draws
+    one `rng.permutation` per block of N and tiles the first when the window
+    is shorter than 2N - 1; an uncovered one draws `count` uniform indices.
+    """
+    n = schedule.n_subspaces
+    if schedule.kind == "cyclic":
+        return np.tile(np.arange(1, n + 1), -(-count // n) or 1)[:count]
+    rng = np.random.default_rng(schedule.seed)
+    if schedule.coverage_window is None:
+        return rng.integers(1, n + 1, size=count)
+    blocks = -(-count // n) or 1
+    if schedule.coverage_window < 2 * n - 1:
+        perms = [rng.permutation(n)] * blocks
+    else:
+        perms = [rng.permutation(n) for _ in range(blocks)]
+    return np.concatenate(perms)[:count] + 1
+
+
 def dense_min_modulus(system):
     """gamma(I - T) as the smallest singular value of I - T on a basis of M^perp."""
     basis = orthogonal_complement(system.intersection).basis

@@ -227,6 +227,16 @@ class TestGramianSample:
         with pytest.raises(ValueError):
             gramian_sample(system, [np.eye(2)[:, 0], np.eye(2)[:, 1]])
 
+    def test_rejects_malformed_tuples(self):
+        system = coordinate_axes(3)
+        e = [np.eye(3)[:, j] for j in range(3)]
+        with pytest.raises(ValueError, match="expected 3 vectors, got 2"):
+            gramian_sample(system, e[:2])
+        with pytest.raises(ValueError, match="vectors must live in the ambient space"):
+            gramian_sample(system, [e[0], e[1], np.ones(4) / 2.0])
+        with pytest.raises(ValueError, match="vectors must have unit norm"):
+            gramian_sample(system, [e[0], e[1], 2.0 * e[2]])
+
     @pytest.mark.parametrize("seed", range(20))
     def test_samples_bounded_by_kappa(self, seed):
         system = example3(12)

@@ -80,6 +80,12 @@ class TestTiltedPairs:
         with pytest.raises(ValueError):
             tilted_pairs(2, [0.5, 0.0])
 
+    def test_block_count_checked(self):
+        with pytest.raises(ValueError, match="at least one block"):
+            tilted_pairs(0)
+        with pytest.raises(ValueError, match="expected 2 angles, got 3"):
+            tilted_pairs(2, [0.5, 0.6, 0.7])
+
 
 class TestRandomSystem:
     def test_deterministic_per_seed(self):
@@ -115,4 +121,10 @@ class TestCommonCore:
     def test_invalid_core_rejected(self):
         with pytest.raises(ValueError):
             common_core(5, (2, 3), core_dim=3, seed=0)
+
+    def test_invalid_dims_rejected(self):
+        with pytest.raises(ValueError, match="at least two subspaces"):
+            common_core(5, (2,), core_dim=1, seed=0)
+        with pytest.raises(ValueError, match=r"each dimension must lie in 0\.\.d"):
+            common_core(5, (2, 6), core_dim=1, seed=0)
 

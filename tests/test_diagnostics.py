@@ -225,3 +225,7 @@ class TestBoundReport:
         names = [e.name for e in report.entries]
         assert "corMain" not in names and "KW" in names and "estimC" in names
         assert report.entry("KW").satisfied
+
+    def test_unknown_entry_raises_key_error(self):
+        with pytest.raises(KeyError, match="nope"):
+            bound_report(two_lines(np.pi / 3), n_max=5).entry("nope")

@@ -17,7 +17,7 @@ from altproj.dynamics import (
 from altproj.numerics import operator_norm
 from altproj.subspace import Subspace, SubspaceSystem
 from cases import convergence_corpus, coordinate_axes
-from oracles import circle_min_modulus, cyclic_operator, full_space, projector
+from oracles import block_stream, circle_min_modulus, cyclic_operator, full_space, projector
 
 
 def line(direction, d=2):
@@ -59,6 +59,30 @@ class TestIndexSchedule:
     def test_window_shorter_than_alphabet_rejected(self):
         with pytest.raises(ValueError):
             IndexSchedule.random(3, seed=0, coverage_window=2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 12, 64])
+    def test_streams_match_the_block_by_block_draw(self, n):
+        # one permuted tile of the stream against one rng.permutation per block
+        counts = (0, 1, n - 1, n, n + 1, 17, 1001)
+        for count in counts:
+            want = block_stream(IndexSchedule.cyclic(n), count)
+            got = IndexSchedule.cyclic(n).first(count)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        windows = dict.fromkeys(w for w in (None, n, 2 * n - 2, 2 * n - 1, 3 * n) if w is None or w >= n)
+        for window in windows:
+            for count in counts:
+                for seed in range(5):
+                    schedule = IndexSchedule.random(n, seed=seed, coverage_window=window)
+                    want, got = block_stream(schedule, count), schedule.first(count)
+                    assert got.dtype == want.dtype and got.tolist() == want.tolist(), (window, count, seed)
+
+    def test_malformed_schedules_rejected(self):
+        with pytest.raises(ValueError, match="unknown schedule kind 'zigzag'"):
+            IndexSchedule(kind="zigzag", n_subspaces=3)
+        with pytest.raises(ValueError, match="n_subspaces must be >= 1"):
+            IndexSchedule.cyclic(0)
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            IndexSchedule.cyclic(3).first(-1)
 
 
 class TestCyclicOperator:
@@ -139,6 +163,8 @@ class TestIterateVector:
             iterate_vector(system, [1.0, 0.0], IndexSchedule.cyclic(3), 5)
         with pytest.raises(ValueError):
             iterate_vector(system, [1.0, 0.0], IndexSchedule.cyclic(2), 0)
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            iterate_vector(system, [np.inf, 0.0], IndexSchedule.cyclic(2), 5)
 
 
 class TestOperatorErrorNorms:
@@ -165,6 +191,10 @@ class TestOperatorErrorNorms:
 
     def test_orthogonal_system_converges_in_one_pass(self):
         assert operator_error_norms(coordinate_axes(3), 1).errors[0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_empty_horizon_rejected(self):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            operator_error_norms(two_lines(0.5), 0)
 
     def test_monotone(self):
         for _, system in convergence_corpus()[:6]:
@@ -336,6 +366,12 @@ class TestSlowSequence:
             SlowSequence.explicit([0.5, 0.1, 0.2, 0.3]).values(4)
         with pytest.raises(ValueError):
             SlowSequence.power(0.0)
+
+    def test_horizon_and_kind_checked(self):
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            SlowSequence.power(0.5).values(0)
+        with pytest.raises(ValueError, match="unknown sequence kind 'cubic'"):
+            SlowSequence(kind="cubic").values(2)
 
 
 class TestSlowVectorProbe:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from altproj.corpus import example3
-from altproj.numerics import DEFAULT_TOL, TolerancePolicy, operator_norm, orthonormalize
+from altproj.numerics import DEFAULT_TOL, TolerancePolicy, as_matrix, operator_norm, orthonormalize
 from oracles import gram_schmidt, min_singular_2x2, principal_eigenspace, projector, restricted_min_singular
 
 finite_entries = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -60,6 +60,22 @@ class TestOrthonormalize:
         with pytest.raises(ValueError):
             orthonormalize([[1.0, 0.0], [1.0, 0.0, 0.0]])
 
+    def test_single_vector_spans_its_line(self):
+        b = orthonormalize(np.array([3.0, 4.0]))
+        assert b.shape == (2, 1)
+        np.testing.assert_allclose(np.abs(b[:, 0]), [0.6, 0.8], atol=1e-12)
+
+    def test_empty_array_takes_the_given_ambient_dim(self):
+        assert orthonormalize(np.zeros((0, 0)), ambient_dim=4).shape == (4, 0)
+
+    def test_three_dimensional_array_rejected(self):
+        with pytest.raises(ValueError, match="sequence of vectors or a 2-D array"):
+            orthonormalize(np.ones((2, 2, 2)))
+
+    def test_zero_length_vectors_rejected(self):
+        with pytest.raises(ValueError, match="length >= 1"):
+            orthonormalize(np.zeros((2, 0)))
+
     def test_orthonormal_input_round_trips_exactly(self):
         basis = orthonormalize(np.random.default_rng(3).standard_normal((2, 7)))
         again = orthonormalize(basis.T)
@@ -74,6 +90,11 @@ class TestOrthonormalize:
         # input vectors lie in the span
         residual = arr.T - b @ (b.T @ arr.T)
         assert np.linalg.norm(residual) <= 1e-8 * max(1.0, np.linalg.norm(arr))
+
+
+def test_as_matrix_rejects_a_vector():
+    with pytest.raises(ValueError, match="2-D matrix, got ndim=1"):
+        as_matrix(np.ones(3))
 
 
 class TestOperatorNorm:

@@ -32,6 +32,14 @@ class TestSubspace:
         with pytest.raises(ValueError):
             Subspace(2, np.array([[1.0], [1.0]]))
 
+    def test_raw_constructor_checks_its_shape(self):
+        with pytest.raises(ValueError, match="ambient_dim must be >= 1"):
+            Subspace(0, np.zeros((0, 0)))
+        with pytest.raises(ValueError, match="basis has 3 rows, expected 2"):
+            Subspace(2, np.eye(3)[:, :1])
+        with pytest.raises(ValueError, match="more basis columns than the ambient dimension"):
+            Subspace(2, np.ones((2, 3)))
+
     def test_zero_and_full(self):
         assert Subspace.zero(4).dim == 0
         assert full_space(4).dim == 4
@@ -90,6 +98,10 @@ class TestIntersection:
     def test_single_subspace_pass_through(self):
         s = line([1.0, 2.0, 0.0], d=3)
         assert intersection_of([s]) is s
+
+    def test_empty_family_rejected(self):
+        with pytest.raises(ValueError, match="at least one subspace"):
+            intersection_of(())
 
     @pytest.mark.parametrize("theta", [1e-9, 1e-8])
     def test_lines_at_the_resolution_floor_coincide(self, theta):

@@ -143,10 +143,22 @@ def test_the_system_and_its_cached_values_refuse_writes():
             block[0, 0] = 0.0
 
 
+def test_derived_functions_take_at_most_one_argument_after_the_system():
+    # the memo keys a call as made, so a second argument could be keyed two ways
+    derived = [fn for module in (angles, dynamics) for fn in vars(module).values()
+               if getattr(getattr(fn, "__code__", None), "co_name", "") == "once"]
+    assert len(derived) == 7
+    for fn in derived:
+        assert list(inspect.signature(fn).parameters)[0] == "system", fn.__name__
+        assert len(inspect.signature(fn).parameters) <= 2, fn.__name__
+
+
 def test_keyword_and_positional_calls_share_one_entry():
     system = random_system(9, (3, 3, 3), seed=2)
     by_keyword = operator_error_norms(system, n_max=3)
     assert operator_error_norms(system, 3) is by_keyword
+    assert operator_error_norms(system=system, n_max=3) is by_keyword
+    assert configuration_constant(system=system) is configuration_constant(system)
     fresh = random_system(9, (3, 3, 3), seed=2)
     np.testing.assert_array_equal(by_keyword.errors, operator_error_norms(fresh, 3).errors)
     # the wrapper keeps the name, module and signature that callers bind by name
