@@ -9,7 +9,9 @@ Every route works on the reduced bases R_j (P_j = P_M + R_j R_j^T) and their
 Gram blocks R_i^T R_j, never on d x d matrices; the cyclic chain, the power
 traces and gamma(I - T) are computed once per system.  The power traces walk
 the powers of K W in stacks of b = isqrt(n), each (K W)^b times the one before
-(Paterson & Stockmeyer 1973): about 3 sqrt(n) numpy calls, not 2n; one stack held.
+(Paterson & Stockmeyer 1973), other orders through chunks of zero-padded blocks of R^T R.
+Every walk carries a power-of-two exponent, so while one stack decays by less than 2^-500
+a 0.0 in a trace is a true error below 2^-1074.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angles import friedrichs_number
+from .angles import _reduced_gram, friedrichs_number
 from .corpus import tilted_pairs
 from .numerics import NumericalFailure, operator_norm, orthonormalize
 from .subspace import SubspaceSystem, _derived
@@ -86,7 +88,7 @@ class IndexSchedule:
             raise ValueError("count must be nonnegative")
         n = self.n_subspaces
         if self.kind == "cyclic":
-            return np.resize(np.arange(1, n + 1), count)
+            return np.arange(count) % n + 1
         if self.kind == "explicit":
             if count > len(self.indices):
                 raise ValueError("explicit schedule exhausted")
@@ -94,8 +96,9 @@ class IndexSchedule:
         rng = np.random.default_rng(self.seed)
         if self.coverage_window is None:
             return rng.integers(1, n + 1, size=count)
-        rows = 1 if self.coverage_window < 2 * n - 1 else -(-count // n)
-        return np.resize(rng.permuted(np.tile(np.arange(1, n + 1), (rows, 1)), axis=1), count)
+        if self.coverage_window < 2 * n - 1:
+            return rng.permutation(np.arange(1, n + 1))[np.arange(count) % n]
+        return rng.permuted(np.tile(np.arange(1, n + 1), (-(-count // n), 1)), axis=1).reshape(-1)[:count]
 
 
 @dataclass(eq=False)
@@ -129,22 +132,36 @@ def iterate_vector(system: SubspaceSystem, x0, schedule: IndexSchedule, n_max: i
         raise ValueError("x0 must live in the ambient space")
     if not np.isfinite(x).all():
         raise ValueError("x0 must be finite")
-    bases = [r.basis for r in system.reduced]
+    exp = -math.frexp(np.abs(x).max(initial=0.0))[1]  # x0 times 2^exp, exactly, has its top entry in [1/2, 1)
+    x = np.ldexp(x, exp)
     if schedule.kind == "cyclic":
         k, kw = _cyclic_chain(system)
-        first = (k @ (bases[0].T @ x))[:, None]
-        errors = np.concatenate([np.linalg.norm(block[..., 0], axis=-1)
-                                 for block in _power_blocks(kw, first, n_max)])
+        walk = _power_blocks(kw, (k @ (system.reduced[0].basis.T @ x))[:, None], n_max)
     else:
         idx = (schedule.first(n_max) - 1).tolist()
-        a = bases[idx[0]].T @ x
-        blocks = {(j, i): bj.T @ bi for j, bj in enumerate(bases) for i, bi in enumerate(bases)}
-        squares = [a @ a]  # np.linalg.norm of a real vector is sqrt(a.dot(a))
-        for j, i in zip(idx[1:], idx):
-            a = blocks[j, i] @ a
-            squares.append(a @ a)
-        errors = np.sqrt(squares)
-    return ConvergenceTrace(steps=np.arange(1, n_max + 1), errors=errors)
+        walk = _gram_chunks(system, idx, system.reduced[idx[0]].basis.T @ x)
+    return _scaled_trace(walk, lambda rows: np.linalg.norm(rows[..., 0], axis=-1), n_max, exp)
+
+
+def _scaled_trace(walk, sizes, n_max: int, exp: int = 0) -> ConvergenceTrace:
+    """The trace of a walk: the `sizes` of each stack times 2^-exp, for the exponent exp it carries.
+
+    A stack whose last size is below 2^-200 is rescaled in place, and the walk with it; no
+    step makes an error larger, so the walk stops at the first stack ending in 0.0.
+    """
+    errors, shifts, start = np.zeros(n_max), np.zeros(n_max, dtype=int), 0
+    for stack in walk:
+        s = sizes(stack)
+        errors[start:start + len(s)], shifts[start:start + len(s)] = s, exp
+        start += len(s)
+        if math.ldexp(s[-1], -exp) == 0.0:
+            break
+        if s[-1] < 2.0 ** -200:
+            shift = min(-math.frexp(s[-1])[1], 1000 - math.frexp(s[0])[1])  # last ~1, first < 2^1000
+            stack *= 2.0 ** shift
+            exp += shift
+    with np.errstate(under="ignore"):  # the only subnormal arithmetic: errors below 2^-1022
+        return ConvergenceTrace(steps=np.arange(1, n_max + 1), errors=np.ldexp(errors, -shifts))
 
 
 def _power_blocks(kw: np.ndarray, first: np.ndarray, n_max: int):
@@ -163,6 +180,22 @@ def _power_blocks(kw: np.ndarray, first: np.ndarray, n_max: int):
         for start in range(b, n_max, b):
             block = giant @ block[:n_max - start]
             yield block
+
+
+def _gram_chunks(system: SubspaceSystem, idx: list[int], first: np.ndarray):
+    """Yield the reduced errors of the steps onto M_(idx[t]+1), 32 a chunk, each one np.dot with a block of R^T R."""
+    n, m = system.n_subspaces, max(r.dim for r in system.reduced)
+    padded = np.zeros((n, m, n, m))
+    at = np.concatenate([j * m + np.arange(r.dim) for j, r in enumerate(system.reduced)])
+    padded.reshape(n * m, n * m)[np.ix_(at, at)] = _reduced_gram(system)
+    blocks = [list(row) for row in np.ascontiguousarray(padded.swapaxes(1, 2))]
+    chunk = np.zeros((32, m, 1))
+    chunk[0, :len(first), 0] = first
+    rows = list(chunk)
+    for start in range(0, len(idx), 32):
+        for t in range(start == 0, min(32, len(idx) - start)):  # row 0 of chunk 0 is the first error
+            np.dot(blocks[idx[start + t]][idx[start + t - 1]], rows[t - 1], out=rows[t])
+        yield chunk[:len(idx) - start]
 
 
 def _reduced_chain(system: SubspaceSystem, indices) -> np.ndarray:
@@ -196,11 +229,8 @@ def operator_error_norms(system: SubspaceSystem, n_max: int) -> ConvergenceTrace
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     k, kw = _cyclic_chain(system)
-    errors = np.zeros(n_max)  # stays 0 if K is empty: M_1 or M_N is M itself, so T = P_M
-    if k.size:  # one batched SVD per stack of powers
-        errors = np.concatenate([np.linalg.svd(block, compute_uv=False)[:, 0]
-                                 for block in _power_blocks(kw, k, n_max)])
-    return ConvergenceTrace(steps=np.arange(1, n_max + 1), errors=errors)
+    walk = _power_blocks(kw, k, n_max) if k.size else ()  # K empty: M_1 or M_N is M, so T = P_M and all 0
+    return _scaled_trace(walk, lambda block: np.linalg.svd(block, compute_uv=False)[:, 0], n_max)
 
 
 @_derived

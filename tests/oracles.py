@@ -8,6 +8,7 @@ minimum singular value and the principal eigenspace) live here too, since
 no analysis of the library forms a d x d matrix.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,6 +240,30 @@ def dense_iterate(system, x0, schedule, n_max):
             x = projectors[j - 1] @ x
             errors[i] = np.linalg.norm(x - target)
     return errors
+
+
+def scaled_walk(system, start, schedule, n_max):
+    """Errors of the projection walk from `start`, shifted by a power of two at every step.
+
+    Each step onto M_j applies P_j - P_M = R_j R_j^T in R^d, then multiplies the walk
+    by the power of two that puts its largest entry in [1/2, 1) and keeps the sum of
+    the shifts, so a recorded norm times 2^-shift rounds to 0 only below 2^-1074.
+    `start` is x0 (the vector trace ||x_n - P_M x0||) or R_1 (the operator trace
+    ||T^n - P_M||, since T - P_M vanishes off R_1).  One record per full pass for
+    cyclic schedules, per step otherwise.
+    """
+    n = system.n_subspaces if schedule.kind == "cyclic" else 1
+    walk, exp, errors = np.asarray(start, dtype=float).copy(), 0, []
+    for step, j in enumerate(schedule.first(n_max * n), start=1):
+        basis = system.reduced[j - 1].basis
+        walk = basis @ (basis.T @ walk)
+        top = float(np.abs(walk).max(initial=0.0))
+        if top:
+            shift = -math.frexp(top)[1]
+            walk, exp = np.ldexp(walk, shift), exp + shift
+        if step % n == 0:
+            errors.append(math.ldexp(float(np.linalg.norm(walk, 2)), -exp))
+    return np.array(errors)
 
 
 def block_stream(schedule, count):

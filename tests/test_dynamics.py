@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from altproj import dynamics
 from altproj.angles import friedrichs_number
 from altproj.corpus import common_core, example3, random_system, tilted_pairs, two_lines
 from altproj.dynamics import (
@@ -17,7 +18,7 @@ from altproj.dynamics import (
 from altproj.numerics import operator_norm
 from altproj.subspace import Subspace, SubspaceSystem
 from cases import convergence_corpus, coordinate_axes
-from oracles import block_stream, circle_min_modulus, cyclic_operator, full_space, projector
+from oracles import block_stream, circle_min_modulus, cyclic_operator, full_space, projector, scaled_walk
 
 
 def line(direction, d=2):
@@ -302,6 +303,90 @@ class TestPowerBlocks:
         finally:
             tracemalloc.stop()
         assert peak < full_stack / 4
+
+
+TINY = 2.0 ** -1074  # the smallest subnormal: only a true error below it may read 0.0
+
+
+class TestScaledWalks:
+    """Every walk stays in the normal float range and stops at true zero."""
+
+    @staticmethod
+    def agree(got, want):
+        assert not ((got == 0.0) & (want >= TINY)).any()
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=2 * TINY)
+
+    def test_dense_cyclic_trace_holds_no_zero(self):
+        # unscaled norms read e_546 = 4.97e-162 here, then 0.0 from n = 547 on
+        system = random_system(192, (64, 64, 64), seed=3)
+        x0 = np.random.default_rng(0).standard_normal(192)
+        got = iterate_vector(system, x0, IndexSchedule.cyclic(3), 1000).errors
+        assert (got > 0.0).all()
+        self.agree(got, scaled_walk(system, x0, IndexSchedule.cyclic(3), 1000))
+
+    def test_thin_traces_read_zero_only_below_the_float_range(self):
+        system = random_system(400, (5, 5, 5), seed=2)
+        x0 = np.random.default_rng(0).standard_normal(400)
+        schedule = IndexSchedule.cyclic(3)
+        self.agree(iterate_vector(system, x0, schedule, 300).errors, scaled_walk(system, x0, schedule, 300))
+        self.agree(operator_error_norms(system, 300).errors,
+                   scaled_walk(system, system.reduced[0].basis, schedule, 300))
+
+    @pytest.mark.parametrize("window", [None, 5])
+    def test_random_trace_holds_no_false_zero(self, window):
+        # unscaled norms read 149 (window None) and 374 (window 5) false zeros here
+        system = common_core(8, (3, 4, 3), 1, seed=7)
+        x0 = np.random.default_rng(0).standard_normal(8)
+        schedule = IndexSchedule.random(3, seed=5, coverage_window=window)
+        got = iterate_vector(system, x0, schedule, 1000).errors
+        assert (got > 0.0).all()
+        self.agree(got, scaled_walk(system, x0, schedule, 1000))
+
+    @pytest.mark.parametrize("size", [1e-300, 1e-320, 1e300])
+    def test_start_far_from_unit_size(self, size):
+        # x0 enters the walk shifted by an exact power of two, so neither its squares
+        # underflow nor its norm overflows
+        system = random_system(9, (3, 3, 3), seed=0)
+        x0 = size * np.random.default_rng(0).standard_normal(9)
+        for schedule in (IndexSchedule.cyclic(3), IndexSchedule.random(3, seed=2, coverage_window=5)):
+            self.agree(iterate_vector(system, x0, schedule, 1000).errors, scaled_walk(system, x0, schedule, 1000))
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_no_step_turns_subnormal(self, seed):
+        # only the final conversion of an error below 2^-1022 may underflow
+        for system in (random_system(192, (64, 64, 64), seed=seed), random_system(400, (5, 5, 5), seed=2)):
+            x0 = np.random.default_rng(seed).standard_normal(system.ambient_dim)
+            with np.errstate(under="raise"):
+                iterate_vector(system, x0, IndexSchedule.cyclic(3), 1000)
+                iterate_vector(system, x0, IndexSchedule.random(3, seed=5, coverage_window=5), 1000)
+
+    def test_walk_forms_no_stack_after_its_errors_reach_zero(self, monkeypatch):
+        stacks, power_blocks = [], dynamics._power_blocks
+
+        def spy(kw, first, n_max):
+            for block in power_blocks(kw, first, n_max):
+                stacks.append(len(block))
+                yield block
+
+        monkeypatch.setattr(dynamics, "_power_blocks", spy)
+        system = random_system(400, (5, 5, 5), seed=2)
+        errors = iterate_vector(system, np.ones(400), IndexSchedule.cyclic(3), 1000).errors
+        first_zero = int(np.argmax(errors == 0.0))
+        assert 0 < first_zero < 150 and not errors[first_zero:].any()
+        assert stacks == [31] * (first_zero // 31 + 1)  # the stack holding the first 0.0 is the last
+
+    def test_random_walk_holds_no_row_per_step(self):
+        system = tilted_pairs(60)  # 60 reduced coordinates a step, decaying slowly enough to run to the end
+        schedule = IndexSchedule.random(2, seed=0)
+        iterate_vector(system, np.ones(120), schedule, 1)  # R^T R is derived once, outside the window
+        tracemalloc.start()
+        try:
+            errors = iterate_vector(system, np.ones(120), schedule, 10**5).errors
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert errors[-1] > 0.0
+        assert peak < 10**5 * 60 * 8 / 4  # one row per step would be 48 MB
 
 
 class TestReducedMinModulus:

@@ -144,9 +144,10 @@ def test_the_system_and_its_cached_values_refuse_writes():
 
 
 def test_derived_functions_take_at_most_one_argument_after_the_system():
-    # the memo keys a call as made, so a second argument could be keyed two ways
-    derived = [fn for module in (angles, dynamics) for fn in vars(module).values()
-               if getattr(getattr(fn, "__code__", None), "co_name", "") == "once"]
+    # the memo keys a call as made, so a second argument could be keyed two ways;
+    # dynamics imports angles' R^T R, so each function counts once
+    derived = {fn for module in (angles, dynamics) for fn in vars(module).values()
+               if getattr(getattr(fn, "__code__", None), "co_name", "") == "once"}
     assert len(derived) == 7
     for fn in derived:
         assert list(inspect.signature(fn).parameters)[0] == "system", fn.__name__
