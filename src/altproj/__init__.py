@@ -7,11 +7,9 @@ from .angles import (
     configuration_constant,
     dixmier_number,
     friedrichs_number,
-    gramian_sample,
     inclination,
     inclination_bounds,
     pairwise_dixmier_reduced,
-    pairwise_friedrichs,
     prefix_friedrichs,
 )
 from .corpus import common_core, example3, random_system, tilted_pairs, two_lines
@@ -47,6 +45,6 @@ from .numerics import (
     operator_norm,
     orthonormalize,
 )
-from .subspace import Subspace, SubspaceSystem, intersection_of, reduce_mod_intersection
+from .subspace import Subspace, SubspaceSystem, intersection_of
 
 __version__ = "0.1.0"

@@ -7,9 +7,11 @@ For N subspaces with intersection M the module computes:
 * the non-reduced pair (c0, kappa0) in closed form: kappa0 = ||P_D P_C||^2
   on the product space equals the norm of the mean projector, so the pair
   is (1, 1) when the intersection is nonzero and (c, kappa) otherwise,
-* pairwise angles, prefix angles and Gramian samples; a pair cosine is the
-  principal cosine (Bjorck & Golub 1973, a singular value of B_1^T B_2) next
-  after the dim(meet) ones, so no analysis builds a pair system,
+* the pairwise and prefix angles: entry (i, j) of the pairwise table is the
+  top singular value of the Gram block R_i^T R_j, read from the cached R^T R,
+  and a prefix cosine is the principal cosine (Bjorck & Golub 1973, a
+  singular value of B_prefix^T B_j) next after the dim(meet) ones, so no
+  analysis builds a pair system,
 * the inclination  l = inf over unit y orthogonal to M of max_j dist(y, M_j),
   bracketed by [dual_lower, estimate] (a single point where l has a closed form)
   and by the paper's sandwich [1 - sqrt(kappa), min(1, sqrt(2N(1 - sqrt(kappa))))].
@@ -23,11 +25,12 @@ kappa0) follows its closed form: (0, 1/N) when M = {0}, (1, 1) otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, NumericalFailure, TolerancePolicy, operator_norm
-from .subspace import Subspace, SubspaceSystem, _derived, intersection_of
+from .numerics import NumericalFailure
+from .subspace import SubspaceSystem, _derived
 
 __all__ = [
     "AngleReport",
@@ -36,11 +39,9 @@ __all__ = [
     "configuration_constant",
     "dixmier_number",
     "friedrichs_number",
-    "gramian_sample",
     "inclination",
     "inclination_bounds",
     "pairwise_dixmier_reduced",
-    "pairwise_friedrichs",
     "prefix_friedrichs",
 ]
 
@@ -135,15 +136,12 @@ def dixmier_number(system: SubspaceSystem) -> tuple[float, float]:
     return friedrichs_number(system), configuration_constant(system)
 
 
-def _friedrichs_cosine(b1: np.ndarray, b2: np.ndarray, meet_dim: int, check_tol: float) -> float:
-    """Principal cosine meet_dim + 1 of (span b1, span b2), a singular value of b1^T b2; 0 if none is left."""
-    cosines = np.append(np.linalg.svd(b1.T @ b2, compute_uv=False), 0.0)
-    return _checked_range(float(cosines[meet_dim]), 0.0, 1.0, check_tol, "Friedrichs cosine")
-
-
-def pairwise_friedrichs(s1: Subspace, s2: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> float:
-    """Friedrichs cosine ||P_2 P_1 - P_meet|| of the pair (s1, s2), its meet taken under tol."""
-    return _friedrichs_cosine(s1.basis, s2.basis, intersection_of((s1, s2), tol).dim, tol.check_tol)
+@_derived
+def _gram_blocks(system: SubspaceSystem) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The Gram blocks R_i^T R_j, at [i][j], as read-only views of the cached R^T R."""
+    gram, edges = _reduced_gram(system), [0, *accumulate(r.dim for r in system.reduced)]
+    spans = [slice(a, b) for a, b in zip(edges, edges[1:])]
+    return tuple(tuple(gram[rows, cols] for cols in spans) for rows in spans)
 
 
 @_derived
@@ -151,50 +149,30 @@ def pairwise_dixmier_reduced(system: SubspaceSystem) -> np.ndarray:
     """Symmetric N x N table of ||P_i~ P_j~|| over the reduced subspaces.
 
     Entry (i, j) is the cosine of the minimal angle between the reduced
-    subspaces i and j: as P_i P_j = P_M + P_i~ P_j~, the principal cosines of
-    B_i, B_j are dim M ones and then those of R_i^T R_j.  The diagonal is 1
-    for nonzero reduced subspaces and 0 otherwise.
+    subspaces i and j, the top singular value of the Gram block R_i^T R_j
+    (0 when a block is empty).  The diagonal is 1 for nonzero reduced
+    subspaces and 0 otherwise.
     """
-    n, meet_dim, check_tol = system.n_subspaces, system.intersection.dim, system.tol.check_tol
+    n, blocks, check_tol = system.n_subspaces, _gram_blocks(system), system.tol.check_tol
     table = np.diag([1.0 if r.dim else 0.0 for r in system.reduced])
-    bases = [s.basis for s in system.subspaces]
     for i in range(n):
         for j in range(i + 1, n):
-            table[i, j] = table[j, i] = _friedrichs_cosine(bases[i], bases[j], meet_dim, check_tol)
+            top = np.linalg.svd(blocks[i][j], compute_uv=False).max(initial=0.0)
+            table[i, j] = table[j, i] = _checked_range(top, 0.0, 1.0, check_tol, "Friedrichs cosine")
     return table
 
 
 @_derived
 def prefix_friedrichs(system: SubspaceSystem) -> tuple[float, ...]:
-    """c_j = Friedrichs cosine of (M_1 ∩ ... ∩ M_{j-1}, M_j) for j = 2..N, on the system's stored prefix meets."""
-    meets, check_tol = system.meets, system.tol.check_tol
-    return tuple(_friedrichs_cosine(prefix.basis, s.basis, meet.dim, check_tol)
-                 for prefix, s, meet in zip(meets, system.subspaces[1:], meets[1:]))
+    """c_j = Friedrichs cosine of (M_1 ∩ ... ∩ M_{j-1}, M_j) for j = 2..N, on the system's stored prefix meets.
 
-
-def gramian_sample(system: SubspaceSystem, unit_vectors) -> float:
-    """(1/N) * ||G|| for the Gramian G of one unit vector per reduced subspace.
-
-    Every sample is a lower witness for the configuration constant; the
-    supremum over admissible tuples attains it.  Rejected when some reduced
-    subspace is {0}, because the admissible set then has no unit vector.
+    Each is principal cosine dim(meet) + 1 of the pair, a singular value of
+    B_prefix^T B_j, or 0 when none is left.
     """
-    n, tol = system.n_subspaces, system.tol
-    if any(r.dim == 0 for r in system.reduced):
-        raise ValueError("every reduced subspace must be nonzero to pick unit vectors")
-    vs = [np.asarray(v, dtype=float) for v in unit_vectors]
-    if len(vs) != n:
-        raise ValueError(f"expected {n} vectors, got {len(vs)}")
-    for v, r in zip(vs, system.reduced):
-        if v.shape != (system.ambient_dim,):
-            raise ValueError("vectors must live in the ambient space")
-        if abs(float(np.linalg.norm(v)) - 1.0) > tol.check_tol:
-            raise ValueError("vectors must have unit norm")
-        if not r.contains(v, tol):
-            raise ValueError("each vector must lie in its reduced subspace")
-    v_mat = np.column_stack(vs)
-    gram = v_mat.T @ v_mat
-    return operator_norm(gram) / n
+    meets, check_tol = system.meets, system.tol.check_tol
+    cosines = (np.append(np.linalg.svd(prefix.basis.T @ s.basis, compute_uv=False), 0.0)[meet.dim]
+               for prefix, s, meet in zip(meets, system.subspaces[1:], meets[1:]))
+    return tuple(_checked_range(float(c), 0.0, 1.0, check_tol, "Friedrichs cosine") for c in cosines)
 
 
 def inclination_bounds(kappa: float, n: int) -> tuple[float, float]:

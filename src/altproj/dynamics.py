@@ -5,8 +5,9 @@ operator-power error norms ||T^n - P_M|| of the cyclic product
 T = P_N ... P_1, the reduced minimum modulus of I - T, norms of arbitrary
 products of projections, and a finite-horizon slow-convergence probe built
 on block-diagonal families of tilted planes.
-Every route works on the reduced bases R_j (P_j = P_M + R_j R_j^T) and their
-Gram blocks R_i^T R_j, never on d x d matrices; the cyclic chain, the power
+As P_j = P_M + R_j R_j^T for the reduced bases R_j, every route reads the Gram
+blocks R_i^T R_j of the cached R^T R, and a vector iteration reads R_j^T x0
+besides; no route forms a d x d matrix, and the cyclic chain, the power
 traces and gamma(I - T) are computed once per system.  The power traces walk
 the powers of K W in stacks of b = isqrt(n), each (K W)^b times the one before
 (Paterson & Stockmeyer 1973), other orders through chunks of zero-padded blocks of R^T R.
@@ -21,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angles import _reduced_gram, friedrichs_number
+from .angles import _gram_blocks, friedrichs_number
 from .corpus import tilted_pairs
-from .numerics import NumericalFailure, operator_norm, orthonormalize
+from .numerics import NumericalFailure, operator_norm
 from .subspace import SubspaceSystem, _derived
 
 __all__ = [
@@ -183,12 +184,13 @@ def _power_blocks(kw: np.ndarray, first: np.ndarray, n_max: int):
 
 
 def _gram_chunks(system: SubspaceSystem, idx: list[int], first: np.ndarray):
-    """Yield the reduced errors of the steps onto M_(idx[t]+1), 32 a chunk, each one np.dot with a block of R^T R."""
+    """Yield the reduced errors of the steps onto M_(idx[t]+1), 32 a chunk, each one np.dot with a Gram block."""
     n, m = system.n_subspaces, max(r.dim for r in system.reduced)
-    padded = np.zeros((n, m, n, m))
-    at = np.concatenate([j * m + np.arange(r.dim) for j, r in enumerate(system.reduced)])
-    padded.reshape(n * m, n * m)[np.ix_(at, at)] = _reduced_gram(system)
-    blocks = [list(row) for row in np.ascontiguousarray(padded.swapaxes(1, 2))]
+    padded = np.zeros((n, n, m, m))
+    for i, row in enumerate(_gram_blocks(system)):
+        for j, block in enumerate(row):
+            padded[i, j, :block.shape[0], :block.shape[1]] = block
+    blocks = [list(row) for row in padded]
     chunk = np.zeros((32, m, 1))
     chunk[0, :len(first), 0] = first
     rows = list(chunk)
@@ -199,14 +201,14 @@ def _gram_chunks(system: SubspaceSystem, idx: list[int], first: np.ndarray):
 
 
 def _reduced_chain(system: SubspaceSystem, indices) -> np.ndarray:
-    """G = (R_{i_k}^T R_{i_(k-1)}) ... (R_{i_2}^T R_{i_1}) for 1-based indices.
+    """The reduced chain (R_{i_k}^T R_{i_(k-1)}) ... (R_{i_2}^T R_{i_1}) for 1-based indices, from the Gram blocks.
 
-    P_{i_k} ... P_{i_1} - P_M = R_{i_k} G R_{i_1}^T; one index gives G = I.
+    P_{i_k} ... P_{i_1} - P_M = R_{i_k} (chain) R_{i_1}^T; one index gives the identity.
     """
-    bases = [system.reduced[i - 1].basis for i in indices]
-    chain = np.eye(bases[0].shape[1])
-    for prev, nxt in zip(bases, bases[1:]):
-        chain = (nxt.T @ prev) @ chain
+    blocks = _gram_blocks(system)
+    chain = np.eye(system.reduced[indices[0] - 1].dim)
+    for prev, nxt in zip(indices, indices[1:]):
+        chain = blocks[nxt - 1][prev - 1] @ chain
     return chain
 
 
@@ -243,23 +245,27 @@ def reduced_min_modulus(system: SubspaceSystem) -> float:
     on the plane of each pair of principal vectors (cosine c, sine s) and the
     identity off them; its smallest singular value s^2 / sigma_max decreases
     in c, so gamma is that value at the Friedrichs number c.  Otherwise
-    T = R_N K R_1^T maps the span Q of R_1 and R_N into itself and vanishes
-    on the rest of M^perp, so the value is sigma_min(I - (Q^T R_N) K (R_1^T Q)),
-    capped at 1 when Q is smaller.
+    T - P_M = R_N K R_1^T maps the span of E = [R_1 R_N] into itself and
+    vanishes on the rest of M^perp.  One eigh of the Gram matrix of E, four
+    Gram blocks, gives E^T E = V L V^T, and C = L^(1/2) V^T (L clipped at 0)
+    has C^T C = E^T E: its rows with L > 0 are the coordinates of E in an
+    orthonormal basis of that span, where T - P_M acts as C_N K C_1^T for the
+    columns C_1, C_N of C.  So the value is sigma_min(I - C_N K C_1^T), as rows
+    with L = 0 only add singular values 1, capped at 1, which gamma never
+    exceeds: T y = 0 for any unit y orthogonal to the first M_j that is not
+    the whole space.
     """
     if system.intersection.dim == system.ambient_dim:
         raise ValueError("modulus undefined: the intersection is the whole space")
     if system.n_subspaces == 2:
         c = friedrichs_number(system)
         return float((1.0 - c * c) / np.sqrt((2.0 - c * c + c * np.sqrt(4.0 - 3.0 * c * c)) / 2.0))
-    ends = np.hstack([system.reduced[0].basis, system.reduced[-1].basis])
-    q = orthonormalize(ends.T, system.tol, system.ambient_dim)
-    gamma = 1.0 if q.shape[1] < system.ambient_dim - system.intersection.dim else np.inf
-    if q.shape[1]:
-        k, _ = _cyclic_chain(system)
-        t = (q.T @ system.reduced[-1].basis) @ k @ (system.reduced[0].basis.T @ q)
-        gamma = min(gamma, float(np.linalg.svd(np.eye(q.shape[1]) - t, compute_uv=False)[-1]))
-    return float(gamma)
+    blocks, r1 = _gram_blocks(system), system.reduced[0].dim
+    lam, v = np.linalg.eigh(np.block([[blocks[0][0], blocks[0][-1]], [blocks[-1][0], blocks[-1][-1]]]))
+    c = np.sqrt(np.maximum(lam, 0.0))[:, None] * v.T
+    k, _ = _cyclic_chain(system)
+    t = c[:, r1:] @ k @ c[:, :r1].T
+    return float(np.linalg.svd(np.eye(len(c)) - t, compute_uv=False).min(initial=1.0))
 
 
 def random_product_norm(system: SubspaceSystem, indices) -> float:

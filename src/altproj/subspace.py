@@ -5,10 +5,11 @@ subspaces of a common ambient space as orthonormal bases only: the prefix
 meets M_1 ∩ ... ∩ M_j, each read from the principal sines of the one before
 against M_j, the last being the intersection M, and the reduced subspaces
 (each component intersected with the orthogonal complement of M).  As
-P_j = P_M + R_j R_j^T for the reduced basis R_j, no analysis forms a d x d
-matrix.  A system is frozen and holds its `TolerancePolicy`, which every
-analysis reads, and what `_derived` computes from it once; all of it is a
-pure function of the bases and the policy, so concurrent reads are safe.
+P_j = P_M + R_j R_j^T for the reduced basis R_j, the analyses read the Gram
+blocks R_i^T R_j of R^T R, formed once, and none forms a d x d matrix.  A
+system is frozen and holds its `TolerancePolicy`, which every analysis
+reads, and what `_derived` computes from it once; all of it is a pure
+function of the bases and the policy, so concurrent reads are safe.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ from functools import wraps
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, NumericalFailure, TolerancePolicy, as_matrix, orthonormalize
+from .numerics import DEFAULT_TOL, TolerancePolicy, as_matrix, orthonormalize
 
 __all__ = [
     "Subspace",
     "SubspaceSystem",
     "intersection_of",
-    "reduce_mod_intersection",
 ]
 
 
@@ -68,18 +68,9 @@ class Subspace:
         basis = orthonormalize(vectors, tol=tol, ambient_dim=ambient_dim)
         return cls(basis.shape[0], basis, name)
 
-    @classmethod
-    def zero(cls, ambient_dim: int, name: str = "") -> "Subspace":
-        return cls(ambient_dim, np.zeros((ambient_dim, 0)), name)
-
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
-
-    def contains(self, vector, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-        v = np.asarray(vector, dtype=float)
-        residual = v - self.basis @ (self.basis.T @ v)
-        return float(np.linalg.norm(residual)) <= tol.check_tol * max(1.0, float(np.linalg.norm(v)))
 
 
 def _prefix_meets(subs: tuple[Subspace, ...], tol: TolerancePolicy) -> tuple[Subspace, ...]:
@@ -88,9 +79,9 @@ def _prefix_meets(subs: tuple[Subspace, ...], tol: TolerancePolicy) -> tuple[Sub
     The singular values of A - B_j (B_j^T A), for an orthonormal basis A of
     the current prefix, are the sines of its principal angles to M_j
     (Bjorck & Golub 1973); the next prefix is spanned by A v for each right
-    singular vector v whose sine is at most check_tol, the membership rule
-    of `Subspace.contains`.  Each meet is a subspace of the one before, so
-    it stays within check_tol of every component it has met.
+    singular vector v whose sine is at most check_tol.  Each meet is a
+    subspace of the one before, so it stays within check_tol of every
+    component it has met.
     """
     if any(s.ambient_dim != subs[0].ambient_dim for s in subs):
         raise ValueError("subspaces must share the ambient dimension")
@@ -196,11 +187,3 @@ def _derived(fn):
         return memo[key]
 
     return once
-
-
-def reduce_mod_intersection(system: SubspaceSystem) -> SubspaceSystem:
-    """The system of reduced subspaces; its own intersection is verified {0}."""
-    reduced_system = SubspaceSystem(system.reduced, tol=system.tol)
-    if reduced_system.intersection.dim != 0:
-        raise NumericalFailure("reduced system has a nontrivial intersection")
-    return reduced_system

@@ -86,3 +86,14 @@ def inclination_corpus():
     systems += [(f"quad10-{s}", lambda s=s: random_system(10, (3, 3, 3, 3), seed=s)) for s in range(100, 110)]
     systems += [(f"triple6-{s}", lambda s=s: random_system(6, (2, 2, 2), seed=s)) for s in range(100, 110)]
     return systems
+
+
+def every_system():
+    """Every corpus above as (name, builder) pairs."""
+    built = [(f"pairs-{i}", s) for i, s in enumerate(random_pairs_r8())]
+    built += [(f"triples-{i}", s) for i, s in enumerate(random_triples_r9())]
+    built += [(f"batch-{i}", s) for i, s in enumerate(common_core_batch())]
+    built += [(f"grid-{name}", s) for name, s in grid_corpus()]
+    built += [(f"conv-{name}", s) for name, s in convergence_corpus()]
+    builders = [(name, lambda s=s: s) for name, s in built]
+    return builders + [(f"incl-{name}", build) for name, build in inclination_corpus()]

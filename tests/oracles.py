@@ -5,7 +5,9 @@ closed-form 2x2 eigenvalues and classical Gram-Schmidt, so that each check
 compares two genuinely different routes to the same number.  The d x d
 helpers they are built from (projectors, complements, the restricted
 minimum singular value and the principal eigenspace) live here too, since
-no analysis of the library forms a d x d matrix.
+no analysis of the library forms a d x d matrix, and so do two routes no
+analysis needs: the Friedrichs cosine of a pair on its input bases, and the
+Gramian sample, a lower witness for kappa, with the membership test it uses.
 """
 
 import math
@@ -21,7 +23,7 @@ from altproj.numerics import (
     operator_norm,
     orthonormalize,
 )
-from altproj.subspace import Subspace, SubspaceSystem
+from altproj.subspace import Subspace, SubspaceSystem, intersection_of
 
 
 # ---- d x d helpers: no analysis of the library forms these matrices ----------
@@ -42,7 +44,7 @@ def orthogonal_complement(s: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> Su
     if k == 0:
         return full_space(d, name=f"{s.name}^perp" if s.name else "")
     if k == d:
-        return Subspace.zero(d, name=f"{s.name}^perp" if s.name else "")
+        return Subspace(d, np.zeros((d, 0)), name=f"{s.name}^perp" if s.name else "")
     u, _, _ = np.linalg.svd(s.basis, full_matrices=True)
     return Subspace(d, u[:, k:].copy(), name=f"{s.name}^perp" if s.name else "")
 
@@ -136,6 +138,55 @@ def min_singular_2x2(matrix):
     det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
     lam_min = (trace - np.sqrt(max(trace * trace - 4.0 * det, 0.0))) / 2.0
     return float(np.sqrt(max(lam_min, 0.0)))
+
+
+def principal_cosine(s1: Subspace, s2: Subspace, skip: int) -> float:
+    """Principal cosine skip + 1 of the pair, on its input bases; 0 when none is left.
+
+    The singular values of B_1^T B_2 are the principal cosines of the pair
+    (Bjorck & Golub 1973), largest first.
+    """
+    return float(np.append(np.linalg.svd(s1.basis.T @ s2.basis, compute_uv=False), 0.0)[skip])
+
+
+def pairwise_friedrichs(s1: Subspace, s2: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> float:
+    """Friedrichs cosine ||P_2 P_1 - P_meet|| of a pair: the principal cosine after the dim(meet) ones.
+
+    The meet is taken under tol; every one of its directions is a principal
+    vector of cosine 1.
+    """
+    return principal_cosine(s1, s2, intersection_of((s1, s2), tol).dim)
+
+
+def contains(s: Subspace, vector, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
+    """Whether the vector lies in s: its residual is within check_tol of its norm (at least 1)."""
+    v = np.asarray(vector, dtype=float)
+    residual = v - s.basis @ (s.basis.T @ v)
+    return float(np.linalg.norm(residual)) <= tol.check_tol * max(1.0, float(np.linalg.norm(v)))
+
+
+def gramian_sample(system: SubspaceSystem, unit_vectors) -> float:
+    """(1/N) * ||G|| for the Gramian G of one unit vector per reduced subspace.
+
+    Every sample is a lower witness for the configuration constant; the
+    supremum over admissible tuples attains it.  Rejected when some reduced
+    subspace is {0}, because the admissible set then has no unit vector.
+    """
+    n, tol = system.n_subspaces, system.tol
+    if any(r.dim == 0 for r in system.reduced):
+        raise ValueError("every reduced subspace must be nonzero to pick unit vectors")
+    vs = [np.asarray(v, dtype=float) for v in unit_vectors]
+    if len(vs) != n:
+        raise ValueError(f"expected {n} vectors, got {len(vs)}")
+    for v, r in zip(vs, system.reduced):
+        if v.shape != (system.ambient_dim,):
+            raise ValueError("vectors must live in the ambient space")
+        if abs(float(np.linalg.norm(v)) - 1.0) > tol.check_tol:
+            raise ValueError("vectors must have unit norm")
+        if not contains(r, v, tol):
+            raise ValueError("each vector must lie in its reduced subspace")
+    v_mat = np.column_stack(vs)
+    return operator_norm(v_mat.T @ v_mat) / n
 
 
 def gram_schmidt(vectors):

@@ -12,7 +12,6 @@ from altproj.angles import (
     friedrichs_number,
     inclination,
     pairwise_dixmier_reduced,
-    pairwise_friedrichs,
 )
 from altproj.corpus import example3, tilted_pairs, two_lines
 from altproj.diagnostics import dehu_check, estimc_check
@@ -25,7 +24,7 @@ from altproj.dynamics import (
     reduced_min_modulus,
     slow_vector_probe,
 )
-from altproj.subspace import intersection_of, reduce_mod_intersection
+from altproj.subspace import SubspaceSystem, intersection_of
 from cases import (
     common_core_batch,
     convergence_corpus,
@@ -33,7 +32,7 @@ from cases import (
     random_pairs_r8,
     random_triples_r9,
 )
-from oracles import circle_min_modulus, grid_inclination, product_space, projector
+from oracles import circle_min_modulus, grid_inclination, pairwise_friedrichs, product_space, projector
 
 RESULTS = []
 
@@ -89,8 +88,10 @@ def test_criterion_03_identity_web():
         pair = product_space(system)
         c_cd = pairwise_friedrichs(pair.C, pair.D)
         worst_product = max(worst_product, abs(kappa - c_cd ** 2))
-        c0_red, _ = dixmier_number(reduce_mod_intersection(system))
-        worst_reduced = max(worst_reduced, abs(c - c0_red))
+        reduced = SubspaceSystem(system.reduced, tol=system.tol)
+        c0_red, _ = dixmier_number(reduced)
+        # the reduced system must meet in {0}; if not, the web is broken
+        worst_reduced = max(worst_reduced, abs(c - c0_red) if reduced.intersection.dim == 0 else np.inf)
         worst_range = max(worst_range, max(1.0 / n - kappa, kappa - 1.0, 0.0))
         if system.intersection.dim >= 1:
             c0, _ = dixmier_number(system)

@@ -6,18 +6,24 @@ from altproj.angles import (
     configuration_constant,
     dixmier_number,
     friedrichs_number,
-    gramian_sample,
     inclination,
     inclination_bounds,
     pairwise_dixmier_reduced,
-    pairwise_friedrichs,
     prefix_friedrichs,
 )
 from altproj.corpus import common_core, example3, random_system, tilted_pairs, two_lines
 from altproj.numerics import operator_norm
-from altproj.subspace import Subspace, SubspaceSystem, intersection_of
+from altproj.subspace import Subspace, SubspaceSystem
 from cases import common_core_batch, coordinate_axes, grid_corpus, inclination_corpus, random_triples_r9
-from oracles import full_space, grid_inclination, optimal_gram_vectors, product_space, projector
+from oracles import (
+    full_space,
+    gramian_sample,
+    grid_inclination,
+    optimal_gram_vectors,
+    pairwise_friedrichs,
+    product_space,
+    projector,
+)
 
 
 def line(direction, d=2, name=""):
@@ -75,7 +81,7 @@ class TestDixmierNumber:
 
 
 def _dixmier_cases():
-    zero = Subspace.zero(3)
+    zero = Subspace(3, np.zeros((3, 0)))
     cases = [("axes3", coordinate_axes(3)), ("example3", example3(12)),
              ("full2", SubspaceSystem((full_space(2), full_space(2)))),
              ("identical_lines", identical_lines()),
@@ -188,7 +194,8 @@ class TestPrefixFriedrichs:
     def test_pair_collapses_to_pairwise(self, build):
         system = build()
         (value,) = prefix_friedrichs(system)
-        assert value == pairwise_dixmier_reduced(system)[0, 1]
+        # the table reads the Gram block R_1^T R_2, the prefix route B_1^T B_2
+        assert abs(value - pairwise_dixmier_reduced(system)[0, 1]) <= 2 * np.finfo(float).eps
         assert value == pytest.approx(pairwise_friedrichs(*system.subspaces), abs=1e-12)
 
     def test_coordinate_example_against_explicit_prefixes(self):
@@ -409,10 +416,9 @@ class TestIdentityWeb:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_reduction_invariance(self, seed):
-        from altproj.subspace import reduce_mod_intersection
-
         system = common_core(8, (3, 4, 3), core_dim=2, seed=seed)
-        reduced = reduce_mod_intersection(system)
+        reduced = SubspaceSystem(system.reduced, tol=system.tol)
+        assert reduced.intersection.dim == 0
         c0_red, _ = dixmier_number(reduced)
         assert abs(friedrichs_number(system) - c0_red) <= 1e-8
 

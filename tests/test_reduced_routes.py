@@ -2,9 +2,10 @@
 
 Operator-power traces, covering-product norms, the configuration constant,
 the reduced pairwise table, vector iterations and gamma(I - T) are computed
-from the small blocks R_i^T R_j of the reduced bases and from their span Q,
-and the intersection and the prefix angles from the stacked bases; each is
-compared here with the route that forms the d x d projectors.
+from the small blocks R_i^T R_j of the cached R^T R, and the intersection and
+the prefix angles from the stacked bases; each is compared here with the
+route that forms the d x d projectors, and the table also with the principal
+cosines of the input bases.
 """
 
 import math
@@ -31,6 +32,7 @@ from altproj.dynamics import (
 )
 from altproj.numerics import DEFAULT_TOL, operator_norm
 from altproj.subspace import Subspace, SubspaceSystem, intersection_of
+from cases import every_system
 from oracles import (
     dense_error_norms,
     dense_intersection,
@@ -40,6 +42,7 @@ from oracles import (
     full_space,
     pair_svd_min_modulus,
     projector,
+    principal_cosine,
     reduced_span,
 )
 
@@ -179,6 +182,81 @@ def test_min_modulus_matches_dense(system):
     assert abs(reduced_min_modulus(system) - dense_min_modulus(system)) <= TOL
 
 
+ROTATION4 = np.linalg.qr(np.random.default_rng(4).standard_normal((4, 4)))[0]
+
+
+def three_subspaces(*bases):
+    return SubspaceSystem(tuple(Subspace.from_vectors(np.atleast_2d(b)) for b in bases))
+
+
+# gamma for N >= 3 reads C = L^(1/2) V^T from the eigenpairs of the Gram matrix of [R_1 R_N]
+MODULUS_SYSTEMS_N3 = {
+    # [R_1 R_N] = [e1 e2 e1 e4] has rank 3: one eigenvalue of its Gram matrix is 0
+    "rank-deficient-ends": lambda: three_subspaces(np.eye(4)[[0, 1]], np.eye(4)[2], np.eye(4)[[0, 3]]),
+    "rank-deficient-ends-rotated": lambda: three_subspaces(*(np.eye(4)[rows] @ ROTATION4.T
+                                                             for rows in ([0, 1], [2], [0, 3]))),
+    # M_1 = M, so R_1 = {0} and T = P_M
+    "first-is-the-meet": lambda: three_subspaces(ROTATION[:, 0], ROTATION[:, :2].T,
+                                                 [ROTATION[:, 0], ROTATION[:, 1] + ROTATION[:, 2]]),
+    # M_1 = M_3 = M: [R_1 R_N] is empty
+    "ends-are-the-meet": lambda: three_subspaces(ROTATION[:, 0], ROTATION[:, :2].T, ROTATION[:, 0]),
+    # M_1 = R^3: R_1 spans the whole complement and the Gram matrix has two zero eigenvalues
+    "first-is-the-space": lambda: three_subspaces(np.eye(3), [1.0, 2.0, 2.0], [[1.0, 0.0, 1.0], [0.0, 1.0, -1.0]]),
+    # [R_1 R_N] spans 6 of the 40 dimensions of M^perp
+    "span-smaller-than-complement": lambda: random_system(40, (3, 3, 3), seed=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODULUS_SYSTEMS_N3))
+def test_min_modulus_for_three_subspaces_matches_dense(name):
+    system = MODULUS_SYSTEMS_N3[name]()
+    assert system.n_subspaces == 3
+    assert abs(reduced_min_modulus(system) - dense_min_modulus(system)) <= TOL
+
+
+@pytest.mark.parametrize("build", [pytest.param(build, id=name) for name, build in every_system()])
+def test_table_and_modulus_on_every_corpus(build):
+    # the table entry is the principal cosine of the input bases after the dim M
+    # ones, since P_i P_j = P_M + P_i~ P_j~; gamma never exceeds 1
+    system = build()
+    table, n = pairwise_dixmier_reduced(system), system.n_subspaces
+    for i in range(n):
+        for j in range(i + 1, n):
+            oracle = principal_cosine(system.subspaces[i], system.subspaces[j], system.intersection.dim)
+            assert abs(table[i, j] - oracle) <= 2e-15
+    if system.intersection.dim < system.ambient_dim:
+        assert reduced_min_modulus(system) <= 1.0
+
+
+BLIND_SYSTEMS = {
+    "triple9-0": lambda: random_system(9, (3, 3, 3), seed=0),
+    "core8-0": lambda: common_core(8, (3, 4, 3), 1, seed=0),
+    "quad12-3": lambda: random_system(12, (3, 2, 4, 3), seed=3),
+    "example3": lambda: example3(12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLIND_SYSTEMS))
+def test_no_analysis_reads_a_basis_once_the_gram_exists(name):
+    intact, blind = BLIND_SYSTEMS[name](), BLIND_SYSTEMS[name]()
+    angles._reduced_gram(blind)
+    for sub in (*blind.subspaces, *blind.reduced):
+        nan = np.full(sub.basis.shape, np.nan)
+        nan.setflags(write=False)
+        object.__setattr__(sub, "basis", nan)
+    analyses = {
+        "table": pairwise_dixmier_reduced,
+        "chain": lambda s: np.concatenate([part.ravel() for part in dynamics._cyclic_chain(s)]),
+        "word": lambda s: random_product_norm(s, [3, 1, 2, 1, 3]),
+        "trace": lambda s: operator_error_norms(s, 50).errors,
+        "gamma": reduced_min_modulus,
+    }
+    for label, analysis in analyses.items():
+        want, got = np.asarray(analysis(intact)), np.asarray(analysis(blind))
+        assert not np.isnan(got).any(), label
+        assert want.tobytes() == got.tobytes(), label
+
+
 PAIRS = {
     **MODULUS_SYSTEMS,
     "tilted60": lambda: tilted_pairs(60),
@@ -232,9 +310,9 @@ def test_intersection_matches_dense(system):
 
 
 @pytest.mark.parametrize("subspaces", [
-    (Subspace.zero(3), Subspace.zero(3)),
+    (Subspace(3, np.zeros((3, 0))), Subspace(3, np.zeros((3, 0)))),
     (full_space(3), full_space(3)),
-    (Subspace.zero(3), full_space(3)),
+    (Subspace(3, np.zeros((3, 0))), full_space(3)),
     (line([1.0, 2.0, 2.0], 3),),
     (line([1.0, 2.0, 2.0], 3), full_space(3)),
 ], ids=["zero-zero", "full-full", "zero-full", "line-in-R3", "line-and-R3"])
@@ -248,14 +326,13 @@ def test_prefix_angles_match_dense(system):
 
 def test_prefix_angles_build_each_prefix_once(monkeypatch):
     system, pair = common_core(10, (4, 4, 4, 4), 1, seed=0), two_lines(0.7)
-    calls = []
+    calls, prefix_meets = [], subspace._prefix_meets
 
-    def spy(subspaces, tol=DEFAULT_TOL):
+    def spy(subspaces, tol):
         calls.append(len(subspaces))
-        return intersection_of(subspaces, tol)
+        return prefix_meets(subspaces, tol)
 
-    for module in (subspace, angles):
-        monkeypatch.setattr(module, "intersection_of", spy)
+    monkeypatch.setattr(subspace, "_prefix_meets", spy)
     prefix_friedrichs(system)
     prefix_friedrichs(pair)
     # every prefix meet is stored at construction, so none is taken again

@@ -1,7 +1,7 @@
 """A system is the single home of its tolerance policy and of what is derived from it.
 
 Every analysis reads `system.tol`, and the Gram matrix R^T R of the stacked
-reduced bases, kappa, the angle tables, the cyclic chain (K, K W), the power
+reduced bases, its blocks R_i^T R_j, kappa, the angle tables, the cyclic chain (K, K W), the power
 traces and gamma(I - T) are computed once per system and then shared,
 read-only, by every later call; no analysis builds a second system.
 """
@@ -12,13 +12,13 @@ import inspect
 import numpy as np
 import pytest
 
-from altproj import angles, diagnostics, dynamics
+from altproj import angles, diagnostics, dynamics, subspace
 from altproj.angles import angle_report, configuration_constant, pairwise_dixmier_reduced, prefix_friedrichs
 from altproj.corpus import common_core, random_system, tilted_pairs, two_lines
 from altproj.diagnostics import bound_report, dichotomy_report
 from altproj.dynamics import operator_error_norms, reduced_min_modulus
-from altproj.numerics import DEFAULT_TOL, TolerancePolicy
-from altproj.subspace import SubspaceSystem, intersection_of
+from altproj.numerics import TolerancePolicy
+from altproj.subspace import SubspaceSystem
 
 
 def test_analyses_honour_the_policy_of_the_system():
@@ -69,13 +69,13 @@ def test_reports_derive_each_quantity_once(monkeypatch):
         return reduced_chain(system, indices)
 
     monkeypatch.setattr(dynamics, "_reduced_chain", chain_spy)
-    meets = []
+    meets, prefix_meets = [], subspace._prefix_meets
 
-    def spy(subspaces, tol=DEFAULT_TOL):
+    def spy(subspaces, tol):
         meets.append(len(subspaces))
-        return intersection_of(subspaces, tol)
+        return prefix_meets(subspaces, tol)
 
-    monkeypatch.setattr(angles, "intersection_of", spy)
+    monkeypatch.setattr(subspace, "_prefix_meets", spy)
     kappa = count_derivations(monkeypatch, configuration_constant)
     table = count_derivations(monkeypatch, pairwise_dixmier_reduced)
     prefix = count_derivations(monkeypatch, prefix_friedrichs)
@@ -83,6 +83,7 @@ def test_reports_derive_each_quantity_once(monkeypatch):
     gamma = count_derivations(monkeypatch, reduced_min_modulus)
     chain = count_derivations(monkeypatch, dynamics._cyclic_chain)
     gram = count_derivations(monkeypatch, angles._reduced_gram)
+    blocks = count_derivations(monkeypatch, angles._gram_blocks)
 
     angle_report(system)
     bound_report(system, n_max=100)
@@ -94,8 +95,9 @@ def test_reports_derive_each_quantity_once(monkeypatch):
     assert sum(np.array_equal(a, stacked.T @ stacked) for a in eigensolves) == 1
     # K is built once, for the cyclic chain, and W once, as the wrap-around
     assert chains == [(1, 2, 3), (3, 1)]
-    # R^T R is formed once and shared by kappa and the inclination loop
-    assert kappa == prefix == gamma == chain == gram == [(system,)]
+    # R^T R is formed once and shared by kappa and the inclination loop, and
+    # its blocks are sliced once for the table, the chains and gamma
+    assert kappa == prefix == gamma == chain == gram == blocks == [(system,)]
     # the prefix meets are stored at construction; no analysis takes one
     assert meets == []
     assert table == [(system,)]
@@ -148,7 +150,7 @@ def test_derived_functions_take_at_most_one_argument_after_the_system():
     # dynamics imports angles' R^T R, so each function counts once
     derived = {fn for module in (angles, dynamics) for fn in vars(module).values()
                if getattr(getattr(fn, "__code__", None), "co_name", "") == "once"}
-    assert len(derived) == 7
+    assert len(derived) == 8
     for fn in derived:
         assert list(inspect.signature(fn).parameters)[0] == "system", fn.__name__
         assert len(inspect.signature(fn).parameters) <= 2, fn.__name__
