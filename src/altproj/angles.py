@@ -2,7 +2,8 @@
 
 For N subspaces with intersection M the module computes:
 
-* the configuration constant  kappa = || (P_1 + ... + P_N)/N - P_M ||,
+* the configuration constant  kappa = || (P_1 + ... + P_N)/N - P_M ||, read from
+  the one eigh of R^T R that the inclination shares, or for a pair from its cosine,
 * the joint Friedrichs number c = N/(N-1) * kappa - 1/(N-1)  in [0, 1],
 * the non-reduced pair (c0, kappa0) in closed form: kappa0 = ||P_D P_C||^2
   on the product space equals the norm of the mean projector, so the pair
@@ -96,18 +97,26 @@ def _reduced_gram(system: SubspaceSystem) -> np.ndarray:
 
 
 @_derived
+def _gram_eigh(system: SubspaceSystem) -> tuple[np.ndarray, np.ndarray]:
+    """(g, v) = eigh(R^T R), ascending: the one spectral solve of G, shared by kappa and the inclination."""
+    return np.linalg.eigh(_reduced_gram(system))
+
+
+@_derived
 def configuration_constant(system: SubspaceSystem) -> float:
     """kappa = || mean of the projectors - projector onto the intersection ||.
 
     Computed through the Gramian: the mean minus P_M is R R^T / N for the
     stacked reduced bases R = [R_1 ... R_N], so kappa = lambda_max(R^T R)/N.
+    A pair has lambda_max([[I, B], [B^T, I]]) = 1 + sigma_max(B), B = R_1^T R_2, its table cosine.
     Lies in [1/N, 1]; the degenerate (all-equal) family gets 1/N by the
     empty-supremum convention.
     """
     n = system.n_subspaces
     if system.degenerate:
         return 1.0 / n
-    kappa = float(np.linalg.eigvalsh(_reduced_gram(system))[-1]) / n
+    kappa = ((1.0 + float(pairwise_dixmier_reduced(system)[0, 1])) / 2.0 if n == 2
+             else float(_gram_eigh(system)[0][-1]) / n)
     return _checked_range(kappa, 1.0 / n, 1.0, system.tol.check_tol, "configuration constant")
 
 
@@ -189,7 +198,7 @@ def _inclination_loop(system: SubspaceSystem) -> tuple[float, float]:
     With S = G^(1/2), sum_j lam_j R_j R_j^T has the nonzero spectrum of the pencil
     S D(lam) S, linear in lam, so one eigh gives d, its gradient q_j = ||(S u)_j||^2
     at the top eigenvector u, its eigenvalue Hessian, and y = R S^+ u with those q_j.
-    Newton steps on the simplex from uniform lam close the gap where the top
+    Newton steps on the simplex from uniform lam (the eigh of G / N) close the gap where the top
     eigenvalue at the minimum is simple (Overton 1988); the answer then depends on
     the subspaces alone.  While a gap remains, y is sought on the sphere of the top
     three eigenvectors by a sample and Gauss-Newton on q_j = d, exact where
@@ -199,7 +208,7 @@ def _inclination_loop(system: SubspaceSystem) -> tuple[float, float]:
     """
     n, tol, eps = system.n_subspaces, system.tol.check_tol, np.finfo(float).eps
     member = np.repeat(np.eye(n), [r.dim for r in system.reduced], axis=0)
-    g, v = np.linalg.eigh(_reduced_gram(system))
+    g, v = _gram_eigh(system)
     root = (v * np.sqrt(np.maximum(g, 0.0))) @ v.T
     best, low = [-1.0], [np.inf]
 
@@ -211,8 +220,8 @@ def _inclination_loop(system: SubspaceSystem) -> tuple[float, float]:
             best[:] = q.min(), u, z, q
         return u, z, q
 
-    def solve(lam):
-        mu, vecs = np.linalg.eigh((root * (member @ lam)) @ root)
+    def solve(lam, pencil=None):
+        mu, vecs = pencil or np.linalg.eigh((root * (member @ lam)) @ root)
         if mu[-1] < low[0]:
             low[:] = mu[-1], lam, vecs[:, -3:]
         return mu, vecs, visit(vecs[:, -1])[2]
@@ -220,8 +229,8 @@ def _inclination_loop(system: SubspaceSystem) -> tuple[float, float]:
     def gap():
         return float(np.sqrt(max(0.0, 1.0 - best[0])) - np.sqrt(max(0.0, 1.0 - low[0])))
 
-    def newton(lam):
-        mu, vecs, q = solve(lam)
+    def newton(lam, pencil=None):
+        mu, vecs, q = solve(lam, pencil)
         while gap() > tol:
             z = root @ vecs
             b = (z[:, :-1] * z[:, -1:]).T @ member
@@ -243,7 +252,7 @@ def _inclination_loop(system: SubspaceSystem) -> tuple[float, float]:
                 return
             lam, mu, vecs, q = trial / trial.sum(), trial_mu, trial_vecs, trial_q
 
-    newton(np.full(n, 1.0 / n))
+    newton(np.full(n, 1.0 / n), (g / n, v))  # S S / N = G: its pencil is G's, top value kappa
     if gap() > tol:
         frame = root @ low[2]
         height, turn = 1.0 - np.arange(0.5, 64) / 32.0, np.pi * (1.0 + np.sqrt(5.0)) * np.arange(0.5, 64)

@@ -159,7 +159,7 @@ def _scaled_trace(walk, sizes, n_max: int, exp: int = 0) -> ConvergenceTrace:
             break
         if s[-1] < 2.0 ** -200:
             shift = min(-math.frexp(s[-1])[1], 1000 - math.frexp(s[0])[1])  # last ~1, first < 2^1000
-            stack *= 2.0 ** shift
+            np.ldexp(stack, shift, out=stack)  # shift can pass 1023 when s[-1] is subnormal
             exp += shift
     with np.errstate(under="ignore"):  # the only subnormal arithmetic: errors below 2^-1022
         return ConvergenceTrace(steps=np.arange(1, n_max + 1), errors=np.ldexp(errors, -shifts))

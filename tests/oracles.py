@@ -5,9 +5,10 @@ closed-form 2x2 eigenvalues and classical Gram-Schmidt, so that each check
 compares two genuinely different routes to the same number.  The d x d
 helpers they are built from (projectors, complements, the restricted
 minimum singular value and the principal eigenspace) live here too, since
-no analysis of the library forms a d x d matrix, and so do two routes no
-analysis needs: the Friedrichs cosine of a pair on its input bases, and the
-Gramian sample, a lower witness for kappa, with the membership test it uses.
+no analysis of the library forms a d x d matrix, and so do three routes no
+analysis needs: the Friedrichs cosine of a pair on its input bases, kappa as
+the top eigenvalue alone of R^T R, and the Gramian sample, a lower witness
+for kappa, with the membership test it uses.
 """
 
 import math
@@ -156,6 +157,16 @@ def pairwise_friedrichs(s1: Subspace, s2: Subspace, tol: TolerancePolicy = DEFAU
     vector of cosine 1.
     """
     return principal_cosine(s1, s2, intersection_of((s1, s2), tol).dim)
+
+
+def gram_kappa(system: SubspaceSystem) -> float:
+    """kappa = lambda_max(R^T R)/N by eigvalsh of the stacked reduced bases; 1/N when R is empty.
+
+    The library reads lambda_max from the eigh it shares with the inclination,
+    and for a pair from the cosine of its table.
+    """
+    stacked = np.hstack([r.basis for r in system.reduced])
+    return float(np.linalg.eigvalsh(stacked.T @ stacked).max(initial=1.0)) / system.n_subspaces
 
 
 def contains(s: Subspace, vector, tol: TolerancePolicy = DEFAULT_TOL) -> bool:

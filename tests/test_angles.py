@@ -344,9 +344,10 @@ class TestInclination:
         monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
         monkeypatch.setattr(np, "exp", exp_spy)
         est = inclination(system)
-        # one eigh of G and one per Newton step on the dual close the gap; no
-        # multiplicative-weight power step (the only caller of np.exp) runs
-        assert 2 <= len(solves) <= 8 and not exps
+        # the eigh of G gives kappa, S and the uniform dual start, and three
+        # Newton steps, one eigh each, close the gap; no multiplicative-weight
+        # power step (the only caller of np.exp) runs
+        assert len(solves) == 4 and not exps
         assert est.estimate - est.dual_lower <= system.tol.check_tol
 
     @pytest.mark.parametrize("name, build", inclination_corpus(),

@@ -101,6 +101,9 @@ class TestFuzz:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(deadline=None, max_examples=40)
     @example(doc={"dim": 2, "subspaces": [{"vectors": [[1e308, 1e308]]}, {"vectors": [[1, 0]]}]})
+    # ||T - P_M|| is subnormal here, and rescaling it takes a shift past 2^1023
+    @example(doc={"dim": 3, "subspaces": [{"vectors": [[5e-324, 1e308, 1e308]]},
+                                          {"vectors": [[1e308, 5e-324, 0.0], [1e308, 0.0, 1.0]]}]})
     @given(doc=system_documents())
     def test_any_system_document_exits_cleanly(self, tmp_path_factory, doc):
         path = tmp_path_factory.getbasetemp() / "fuzz.json"

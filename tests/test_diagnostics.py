@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from altproj import angles, diagnostics
-from altproj.angles import configuration_constant, friedrichs_number, inclination, prefix_friedrichs
+from altproj.angles import friedrichs_number, inclination, prefix_friedrichs
 from altproj.corpus import common_core, example3, random_system, tilted_pairs, two_lines
 from altproj.diagnostics import (
     NEAR_ASC_MARGIN,

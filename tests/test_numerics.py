@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from altproj.corpus import example3
-from altproj.numerics import DEFAULT_TOL, TolerancePolicy, as_matrix, operator_norm, orthonormalize
+from altproj.numerics import TolerancePolicy, as_matrix, operator_norm, orthonormalize
 from oracles import gram_schmidt, min_singular_2x2, principal_eigenspace, projector, restricted_min_singular
 
 finite_entries = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)

@@ -17,6 +17,7 @@ from altproj import angles, diagnostics, dynamics, numerics, subspace
 from altproj.angles import (
     angle_report,
     configuration_constant,
+    friedrichs_number,
     inclination,
     pairwise_dixmier_reduced,
     prefix_friedrichs,
@@ -40,6 +41,7 @@ from oracles import (
     dense_min_modulus,
     dense_prefix_friedrichs,
     full_space,
+    gram_kappa,
     pair_svd_min_modulus,
     projector,
     principal_cosine,
@@ -226,6 +228,24 @@ def test_table_and_modulus_on_every_corpus(build):
             assert abs(table[i, j] - oracle) <= 2e-15
     if system.intersection.dim < system.ambient_dim:
         assert reduced_min_modulus(system) <= 1.0
+
+
+BENCH_SYSTEMS = [
+    pytest.param(lambda: random_system(192, (64, 64, 64), seed=0), id="dense0"),
+    pytest.param(lambda: random_system(192, (64, 64, 64), seed=3), id="dense3"),
+    pytest.param(lambda: random_system(400, (5, 5, 5), seed=2), id="thin2"),
+    pytest.param(lambda: tilted_pairs(60), id="tilted60"),
+]
+
+
+@pytest.mark.parametrize("build", [pytest.param(build, id=name) for name, build in every_system()] + BENCH_SYSTEMS)
+def test_kappa_and_c_match_the_eigvalsh_of_the_gram(build):
+    # kappa comes from the eigh shared with the inclination, or a pair's cosine;
+    # the top eigenvalue alone, by another LAPACK driver, agrees to round-off
+    system = build()
+    n, kappa = system.n_subspaces, gram_kappa(system)
+    assert abs(configuration_constant(system) - kappa) <= 1e-14
+    assert abs(friedrichs_number(system) - (n * kappa - 1.0) / (n - 1.0)) <= 1e-14
 
 
 BLIND_SYSTEMS = {

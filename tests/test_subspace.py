@@ -5,7 +5,7 @@ import cases
 from altproj.angles import friedrichs_number
 from altproj.corpus import common_core, example3, random_system, two_lines
 from altproj.diagnostics import dichotomy_report
-from altproj.numerics import DEFAULT_TOL, NumericalFailure, TolerancePolicy
+from altproj.numerics import NumericalFailure, TolerancePolicy
 from altproj.subspace import Subspace, SubspaceSystem, intersection_of
 from oracles import contains, full_space, orthogonal_complement, projector
 

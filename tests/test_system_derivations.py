@@ -1,9 +1,10 @@
 """A system is the single home of its tolerance policy and of what is derived from it.
 
 Every analysis reads `system.tol`, and the Gram matrix R^T R of the stacked
-reduced bases, its blocks R_i^T R_j, kappa, the angle tables, the cyclic chain (K, K W), the power
-traces and gamma(I - T) are computed once per system and then shared,
-read-only, by every later call; no analysis builds a second system.
+reduced bases, its blocks R_i^T R_j, its eigh, kappa, the angle tables, the
+cyclic chain (K, K W), the power traces and gamma(I - T) are computed once
+per system and then shared, read-only, by every later call; no analysis
+builds a second system.
 """
 
 import dataclasses
@@ -56,11 +57,19 @@ def count_derivations(monkeypatch, fn):
     return calls
 
 
+def spy_eigensolves(monkeypatch):
+    """Record the matrix of every np.linalg.eigh and eigvalsh call, by name."""
+    solves = {"eigh": [], "eigvalsh": []}
+    for name, calls in solves.items():
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *args, calls=calls, solve=solve, **kwargs:
+                            calls.append(np.array(a)) or solve(a, *args, **kwargs))
+    return solves
+
+
 def test_reports_derive_each_quantity_once(monkeypatch):
     system = random_system(9, (3, 3, 3), seed=0)
-    eigensolves = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigensolves.append(a) or eigvalsh(a))
+    solves = spy_eigensolves(monkeypatch)
     chains = []
     reduced_chain = dynamics._reduced_chain
 
@@ -84,25 +93,46 @@ def test_reports_derive_each_quantity_once(monkeypatch):
     chain = count_derivations(monkeypatch, dynamics._cyclic_chain)
     gram = count_derivations(monkeypatch, angles._reduced_gram)
     blocks = count_derivations(monkeypatch, angles._gram_blocks)
+    spectrum = count_derivations(monkeypatch, angles._gram_eigh)
 
     angle_report(system)
     bound_report(system, n_max=100)
     dichotomy_report(system)
 
-    # the kappa eigensolve is the one of the unweighted Gram matrix of the
-    # stacked reduced bases; the inclination certificate solves a weighted one
+    # one eigh of the unweighted Gram matrix of the stacked reduced bases gives
+    # kappa, S = G^(1/2) and the uniform dual start; the inclination's Newton
+    # steps solve weighted pencils, and gamma a block Gram of [R_1 R_N]
     stacked = np.hstack([r.basis for r in system.reduced])
-    assert sum(np.array_equal(a, stacked.T @ stacked) for a in eigensolves) == 1
+    assert sum(np.array_equal(a, stacked.T @ stacked) for a in solves["eigh"]) == 1
+    assert solves["eigvalsh"] == []
     # K is built once, for the cyclic chain, and W once, as the wrap-around
     assert chains == [(1, 2, 3), (3, 1)]
     # R^T R is formed once and shared by kappa and the inclination loop, and
     # its blocks are sliced once for the table, the chains and gamma
-    assert kappa == prefix == gamma == chain == gram == blocks == [(system,)]
+    assert kappa == prefix == gamma == chain == gram == blocks == spectrum == [(system,)]
     # the prefix meets are stored at construction; no analysis takes one
     assert meets == []
     assert table == [(system,)]
     assert sorted(call[1] for call in traces) == [1, 100]
     assert all(call[0] is system for call in traces)
+
+
+@pytest.mark.parametrize("build", [lambda: two_lines(np.pi / 3), lambda: tilted_pairs(5),
+                                   *[lambda s=s: random_system(8, (3, 4), seed=s) for s in range(3)]],
+                         ids=["lines", "tilted5", *[f"random8-{s}" for s in range(3)]])
+def test_a_pair_reads_kappa_from_its_cosine(monkeypatch, build):
+    # lambda_max([[I, B], [B^T, I]]) = 1 + sigma_max(B), B = R_1^T R_2: no report
+    # of a pair solves an eigenproblem of G
+    system = build()
+    solves = spy_eigensolves(monkeypatch)
+    spectrum = count_derivations(monkeypatch, angles._gram_eigh)
+    angle_report(system)
+    bound_report(system, n_max=100)
+    dichotomy_report(system)
+    gram = angles._reduced_gram(system)
+    assert not any(np.array_equal(a, gram) for a in solves["eigh"] + solves["eigvalsh"])
+    assert spectrum == []
+    assert configuration_constant(system) == (1.0 + pairwise_dixmier_reduced(system)[0, 1]) / 2.0
 
 
 @pytest.mark.parametrize("build", [lambda: common_core(10, (4, 4, 4, 4), 1, seed=0),
@@ -150,7 +180,7 @@ def test_derived_functions_take_at_most_one_argument_after_the_system():
     # dynamics imports angles' R^T R, so each function counts once
     derived = {fn for module in (angles, dynamics) for fn in vars(module).values()
                if getattr(getattr(fn, "__code__", None), "co_name", "") == "once"}
-    assert len(derived) == 8
+    assert len(derived) == 9
     for fn in derived:
         assert list(inspect.signature(fn).parameters)[0] == "system", fn.__name__
         assert len(inspect.signature(fn).parameters) <= 2, fn.__name__
