@@ -10,9 +10,9 @@ For N subspaces with intersection M the module computes:
   is (1, 1) when the intersection is nonzero and (c, kappa) otherwise,
 * the pairwise and prefix angles: entry (i, j) of the pairwise table is the
   top singular value of the Gram block R_i^T R_j, read from the cached R^T R,
-  and a prefix cosine is the principal cosine (Bjorck & Golub 1973, a
-  singular value of B_prefix^T B_j) next after the dim(meet) ones, so no
-  analysis builds a pair system,
+  and a prefix cosine is the principal cosine next after the dim(meet) ones,
+  stored by the SVD that took the prefix meet at construction, so no
+  analysis builds a pair system or reads a basis,
 * the inclination  l = inf over unit y orthogonal to M of max_j dist(y, M_j),
   bracketed by [dual_lower, estimate] (a single point where l has a closed form)
   and by the paper's sandwich [1 - sqrt(kappa), min(1, sqrt(2N(1 - sqrt(kappa))))].
@@ -171,17 +171,14 @@ def pairwise_dixmier_reduced(system: SubspaceSystem) -> np.ndarray:
     return table
 
 
-@_derived
 def prefix_friedrichs(system: SubspaceSystem) -> tuple[float, ...]:
-    """c_j = Friedrichs cosine of (M_1 ∩ ... ∩ M_{j-1}, M_j) for j = 2..N, on the system's stored prefix meets.
+    """c_j = Friedrichs cosine of (M_1 ∩ ... ∩ M_{j-1}, M_j) for j = 2..N, stored at construction.
 
-    Each is principal cosine dim(meet) + 1 of the pair, a singular value of
-    B_prefix^T B_j, or 0 when none is left.
+    Each is the largest principal cosine whose sine is above check_tol, or 0
+    when none is left, from the SVD that took the prefix meet.
     """
-    meets, check_tol = system.meets, system.tol.check_tol
-    cosines = (np.append(np.linalg.svd(prefix.basis.T @ s.basis, compute_uv=False), 0.0)[meet.dim]
-               for prefix, s, meet in zip(meets, system.subspaces[1:], meets[1:]))
-    return tuple(_checked_range(float(c), 0.0, 1.0, check_tol, "Friedrichs cosine") for c in cosines)
+    check_tol = system.tol.check_tol
+    return tuple(_checked_range(c, 0.0, 1.0, check_tol, "Friedrichs cosine") for c in system.prefix_cosines)
 
 
 def inclination_bounds(kappa: float, n: int) -> tuple[float, float]:

@@ -44,7 +44,8 @@ __all__ = [
 class IndexSchedule:
     """A deterministic stream of projection indices in {1..N}.
 
-    kind is "cyclic", "random" or "explicit".  For random schedules with a
+    kind is "cyclic", "random" (drawn from an integer seed) or "explicit"
+    (the only kind that takes `indices`).  For random schedules with a
     coverage window w, every window of w consecutive indices contains all of
     {1..N}: for w < 2N-1 the only such streams are periodic repeats of a
     single permutation, so one seeded permutation is tiled; for w >= 2N-1
@@ -68,6 +69,10 @@ class IndexSchedule:
                 raise ValueError("explicit schedules need a nonempty index list")
             if any(not 1 <= i <= self.n_subspaces for i in self.indices):
                 raise ValueError("explicit indices must lie in 1..N")
+        elif self.indices is not None:
+            raise ValueError(f"a {self.kind} schedule takes no index list")
+        if self.kind == "random" and (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))):
+            raise ValueError(f"a random schedule needs an integer seed, got {self.seed!r}")
         if self.coverage_window is not None and self.coverage_window < self.n_subspaces:
             raise ValueError("coverage window cannot be shorter than the index alphabet")
 

@@ -63,7 +63,8 @@ def orthonormalize(vectors, tol: TolerancePolicy = DEFAULT_TOL, ambient_dim: int
     `vectors` is a sequence of equal-length 1-D arrays, or a 2-D array with
     one vector per row.  The result is d x k with k the numerical rank of
     the input: its singular values above max(d, m) * eps * sigma_max for m
-    vectors.  An empty span yields a d x 0 matrix, never an error.  Inputs
+    vectors.  An empty span yields a d x 0 matrix, never an error; an
+    `ambient_dim` that the vectors' length contradicts is one.  Inputs
     whose columns are already orthonormal are returned unchanged, so stored
     bases round-trip exactly through serialization; "already orthonormal"
     never means looser than the default check_tol, the test every
@@ -86,9 +87,11 @@ def orthonormalize(vectors, tol: TolerancePolicy = DEFAULT_TOL, ambient_dim: int
         arr = arr[np.newaxis, :]
     if arr.ndim != 2:
         raise ValueError("expected a sequence of vectors or a 2-D array")
+    if arr.shape == (0, 0) and ambient_dim is not None:
+        return np.zeros((int(ambient_dim), 0))
+    if ambient_dim is not None and arr.shape[1] != int(ambient_dim):
+        raise ValueError(f"vectors have length {arr.shape[1]}, but ambient_dim is {ambient_dim}")
     if arr.shape[0] == 0:
-        if arr.shape[1] == 0 and ambient_dim is not None:
-            return np.zeros((int(ambient_dim), 0))
         return np.zeros((arr.shape[1], 0))
     if arr.shape[1] < 1:
         raise ValueError("vectors must have length >= 1")

@@ -2,11 +2,11 @@
 
 A `Subspace` stores an orthonormal basis; a `SubspaceSystem` bundles N >= 2
 subspaces of a common ambient space as orthonormal bases only: the prefix
-meets M_1 ∩ ... ∩ M_j, each read from the principal sines of the one before
-against M_j, the last being the intersection M, and the reduced subspaces
-(each component intersected with the orthogonal complement of M).  As
-P_j = P_M + R_j R_j^T for the reduced basis R_j, the analyses read the Gram
-blocks R_i^T R_j of R^T R, formed once, and none forms a d x d matrix.  A
+meets M_1 ∩ ... ∩ M_j and their cosines, each from one SVD of the one before
+against M_j, the last meet being the intersection M, and the reduced
+subspaces (each component intersected with the orthogonal complement of M).
+As P_j = P_M + R_j R_j^T for the reduced basis R_j, the analyses read only
+the Gram blocks R_i^T R_j of R^T R, formed once, and no d x d matrix.  A
 system is frozen and holds its `TolerancePolicy`, which every analysis
 reads, and what `_derived` computes from it once; all of it is a pure
 function of the bases and the policy, so concurrent reads are safe.
@@ -73,24 +73,27 @@ class Subspace:
         return self.basis.shape[1]
 
 
-def _prefix_meets(subs: tuple[Subspace, ...], tol: TolerancePolicy) -> tuple[Subspace, ...]:
-    """M_1, M_1 ∩ M_2, ..., M_1 ∩ ... ∩ M_N along the prefix chain.
+def _prefix_meets(subs: tuple[Subspace, ...],
+                  tol: TolerancePolicy) -> tuple[tuple[Subspace, ...], tuple[float, ...]]:
+    """M_1, M_1 ∩ M_2, ..., M_1 ∩ ... ∩ M_N along the prefix chain, and each step's Friedrichs cosine.
 
-    The singular values of A - B_j (B_j^T A), for an orthonormal basis A of
-    the current prefix, are the sines of its principal angles to M_j
-    (Bjorck & Golub 1973); the next prefix is spanned by A v for each right
-    singular vector v whose sine is at most check_tol.  Each meet is a
-    subspace of the one before, so it stays within check_tol of every
-    component it has met.
+    For an orthonormal basis A of the current prefix and C = B_j^T A, the
+    singular values of A - B_j C are its principal sines to M_j (Bjorck &
+    Golub 1973).  The next prefix is spanned by A v for each right singular
+    vector v whose sine is at most check_tol, and the cosine is the largest
+    ||C v|| over the other v, which diagonalize C^T C too: not sqrt(1 - s^2),
+    so large angles keep their digits (Knyazev & Argentati 2002).  Each meet
+    lies in the one before, so within check_tol of every component it met.
     """
     if any(s.ambient_dim != subs[0].ambient_dim for s in subs):
         raise ValueError("subspaces must share the ambient dimension")
-    meets = [subs[0]]
+    meets, cosines = [subs[0]], []
     for s in subs[1:]:
-        a = meets[-1].basis
-        _, sines, vt = np.linalg.svd(a - s.basis @ (s.basis.T @ a), full_matrices=False)
+        a, c = meets[-1].basis, s.basis.T @ meets[-1].basis
+        _, sines, vt = np.linalg.svd(a - s.basis @ c, full_matrices=False)
         meets.append(Subspace(s.ambient_dim, a @ vt[sines <= tol.check_tol].T))
-    return tuple(meets)
+        cosines.append(float(np.linalg.norm(c @ vt[sines > tol.check_tol].T, axis=0).max(initial=0.0)))
+    return tuple(meets), tuple(cosines)
 
 
 def intersection_of(subspaces, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
@@ -98,7 +101,7 @@ def intersection_of(subspaces, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
     subs = tuple(subspaces)
     if not subs:
         raise ValueError("need at least one subspace")
-    return _prefix_meets(subs, tol)[-1]
+    return _prefix_meets(subs, tol)[0][-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,15 +109,16 @@ class SubspaceSystem:
     """An ordered family of N >= 2 subspaces of a common R^d, under one policy.
 
     The prefix meets M_1 ∩ ... ∩ M_j for j = 1..N, the last of which is the
-    intersection, and the reduced subspaces are computed once at
-    construction; the analyses' derived quantities are computed on first
-    use and kept.
+    intersection, the Friedrichs cosines of (M_1 ∩ ... ∩ M_{j-1}, M_j) for
+    j = 2..N and the reduced subspaces are computed once at construction;
+    the analyses' derived quantities are computed on first use and kept.
     """
 
     subspaces: tuple[Subspace, ...]
     tol: TolerancePolicy = DEFAULT_TOL
     ambient_dim: int = field(init=False)
     meets: tuple[Subspace, ...] = field(init=False, repr=False)
+    prefix_cosines: tuple[float, ...] = field(init=False, repr=False)
     reduced: tuple[Subspace, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -122,7 +126,7 @@ class SubspaceSystem:
         if len(subs) < 2:
             raise ValueError("a system needs at least two subspaces")
         d = subs[0].ambient_dim
-        meets = _prefix_meets(subs, self.tol)
+        meets, cosines = _prefix_meets(subs, self.tol)
         meet = meets[-1]
         reduced = []
         for s in subs:
@@ -130,17 +134,15 @@ class SubspaceSystem:
             # shaved basis has rank dim(M_j) - dim(M) exactly; forcing that
             # rank keeps the identity even when a component coincides with
             # the intersection and the residual is pure round-off
-            rank = s.dim - meet.dim
-            if meet.dim == 0:
-                basis = s.basis
-            else:
+            basis = s.basis
+            if meet.dim:
                 shaved = s.basis - meet.basis @ (meet.basis.T @ s.basis)
-                u, _, _ = np.linalg.svd(shaved, full_matrices=False)
-                basis = u[:, :rank].copy()
+                basis = np.linalg.svd(shaved, full_matrices=False)[0][:, :s.dim - meet.dim].copy()
             reduced.append(Subspace(d, basis, name=f"{s.name}~" if s.name else ""))
         object.__setattr__(self, "subspaces", subs)
         object.__setattr__(self, "ambient_dim", d)
         object.__setattr__(self, "meets", meets)
+        object.__setattr__(self, "prefix_cosines", cosines)
         object.__setattr__(self, "reduced", tuple(reduced))
 
     @property

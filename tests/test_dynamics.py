@@ -85,6 +85,19 @@ class TestIndexSchedule:
         with pytest.raises(ValueError, match="count must be nonnegative"):
             IndexSchedule.cyclic(3).first(-1)
 
+    @pytest.mark.parametrize("seed", [None, 1.5, True, "7"])
+    def test_random_schedule_needs_an_integer_seed(self, seed):
+        # without a seed each call to first() would draw another stream
+        with pytest.raises(ValueError, match="a random schedule needs an integer seed"):
+            IndexSchedule(kind="random", n_subspaces=3, seed=seed)
+        assert IndexSchedule(kind="random", n_subspaces=3, seed=np.int64(7)).first(8).tolist() == \
+            IndexSchedule.random(3, seed=7).first(8).tolist()
+
+    @pytest.mark.parametrize("kind, extra", [("cyclic", {}), ("random", {"seed": 0})])
+    def test_only_an_explicit_schedule_takes_indices(self, kind, extra):
+        with pytest.raises(ValueError, match=f"a {kind} schedule takes no index list"):
+            IndexSchedule(kind=kind, n_subspaces=3, indices=(5,), **extra)
+
 
 class TestCyclicOperator:
     def test_orthogonal_lines_annihilate(self):

@@ -3,11 +3,12 @@
 Operator-power traces, covering-product norms, the configuration constant,
 the reduced pairwise table, vector iterations and gamma(I - T) are computed
 from the small blocks R_i^T R_j of the cached R^T R, and the intersection and
-the prefix angles from the stacked bases; each is compared here with the
-route that forms the d x d projectors, and the table also with the principal
-cosines of the input bases.
+the prefix angles from the one SVD per step of the prefix chain at
+construction; each is compared here with the route that forms the d x d
+projectors, and the table also with the principal cosines of the input bases.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -256,11 +257,23 @@ BLIND_SYSTEMS = {
 }
 
 
+def floats(value):
+    """Every number of a report, bools included, in field order as one float array."""
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    if isinstance(value, (list, tuple)):
+        return np.concatenate([np.zeros(0), *(floats(part) for part in value)])
+    if value is None or isinstance(value, str):
+        return np.zeros(0)
+    return np.asarray(value, dtype=float).ravel()
+
+
 @pytest.mark.parametrize("name", sorted(BLIND_SYSTEMS))
 def test_no_analysis_reads_a_basis_once_the_gram_exists(name):
+    # the reports read R^T R and the prefix cosines stored at construction, never a basis
     intact, blind = BLIND_SYSTEMS[name](), BLIND_SYSTEMS[name]()
     angles._reduced_gram(blind)
-    for sub in (*blind.subspaces, *blind.reduced):
+    for sub in (*blind.subspaces, *blind.meets, *blind.reduced):
         nan = np.full(sub.basis.shape, np.nan)
         nan.setflags(write=False)
         object.__setattr__(sub, "basis", nan)
@@ -270,6 +283,9 @@ def test_no_analysis_reads_a_basis_once_the_gram_exists(name):
         "word": lambda s: random_product_norm(s, [3, 1, 2, 1, 3]),
         "trace": lambda s: operator_error_norms(s, 50).errors,
         "gamma": reduced_min_modulus,
+        "angles": lambda s: floats(angle_report(s)),
+        "bounds": lambda s: floats(bound_report(s, n_max=100)),
+        "verdict": lambda s: floats(dichotomy_report(s)),
     }
     for label, analysis in analyses.items():
         want, got = np.asarray(analysis(intact)), np.asarray(analysis(blind))
@@ -340,8 +356,34 @@ def test_intersection_edge_cases_match_dense(subspaces):
     assert_same_subspace(intersection_of(subspaces), dense_intersection(subspaces))
 
 
-def test_prefix_angles_match_dense(system):
+# rows of the fixed rotation: components in general position
+E1, E2, E3 = ROTATION.T
+
+PREFIX_EDGES = {
+    "zero-component": lambda: three_subspaces(np.vstack([E1, E2]), np.zeros((0, 3)), E1 + E3),
+    "prefix-becomes-zero": lambda: three_subspaces(E1, E1 + 2.0 * E2, np.vstack([E1 + E3, E2])),
+    "whole-space-component": lambda: three_subspaces(np.vstack([E1, E2]), np.eye(3), E1 + E2 + E3),
+    "prefix-inside-component": lambda: three_subspaces(E1 + E2, np.vstack([E1, E2]), np.vstack([E1 + E3, E2])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS) + sorted(PREFIX_EDGES))
+def test_prefix_angles_match_dense(name):
+    system = {**SYSTEMS, **PREFIX_EDGES}[name]()
     np.testing.assert_allclose(prefix_friedrichs(system), dense_prefix_friedrichs(system), rtol=0.0, atol=TOL)
+
+
+@pytest.mark.parametrize("t", 10.0 ** -np.arange(3, 16))
+def test_prefix_cosine_keeps_its_digits_at_large_angles(t):
+    # the cosine is read as ||C v||, not as sqrt(1 - s^2), which is 0.0 from t = 1e-9 on
+    tilted = np.array([t, np.sqrt(1.0 - t * t)])
+    pair = SubspaceSystem((line([1.0, 0.0], 2), Subspace(2, tilted[:, None])))
+    # the first meet is span(e1); the third component is the same line, lifted to R^3
+    triple = SubspaceSystem((Subspace(3, np.eye(3)[:, :2]), Subspace(3, np.eye(3)[:, [0, 2]]),
+                             Subspace(3, np.append(tilted, 0.0)[:, None])))
+    assert triple.meets[1].dim == 1
+    assert prefix_friedrichs(pair) == pytest.approx((t,), rel=1e-12, abs=0.0)
+    assert prefix_friedrichs(triple) == pytest.approx((0.0, t), rel=1e-12, abs=0.0)
 
 
 def test_prefix_angles_build_each_prefix_once(monkeypatch):

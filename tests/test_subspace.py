@@ -28,6 +28,13 @@ class TestSubspace:
         assert s.dim == 2
         assert np.linalg.norm(s.basis.T @ s.basis - np.eye(2)) <= 1e-12
 
+    @pytest.mark.parametrize("vectors", [[[1.0, 0.0, 0.0]], np.zeros((0, 3)), np.eye(3)],
+                             ids=["row-list", "empty-rows", "array"])
+    def test_from_vectors_rejects_a_conflicting_ambient_dim(self, vectors):
+        with pytest.raises(ValueError, match="vectors have length 3, but ambient_dim is 5"):
+            Subspace.from_vectors(vectors, ambient_dim=5)
+        assert Subspace.from_vectors(vectors, ambient_dim=3).ambient_dim == 3
+
     def test_raw_constructor_requires_orthonormal(self):
         with pytest.raises(ValueError):
             Subspace(2, np.array([[1.0], [1.0]]))

@@ -1,7 +1,8 @@
 """A system is the single home of its tolerance policy and of what is derived from it.
 
-Every analysis reads `system.tol`, and the Gram matrix R^T R of the stacked
-reduced bases, its blocks R_i^T R_j, its eigh, kappa, the angle tables, the
+Every analysis reads `system.tol`.  The prefix meets and their cosines are
+stored at construction, and the Gram matrix R^T R of the stacked reduced
+bases, its blocks R_i^T R_j, its eigh, kappa, the pairwise table, the
 cyclic chain (K, K W), the power traces and gamma(I - T) are computed once
 per system and then shared, read-only, by every later call; no analysis
 builds a second system.
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from altproj import angles, diagnostics, dynamics, subspace
-from altproj.angles import angle_report, configuration_constant, pairwise_dixmier_reduced, prefix_friedrichs
+from altproj.angles import angle_report, configuration_constant, pairwise_dixmier_reduced
 from altproj.corpus import common_core, random_system, tilted_pairs, two_lines
 from altproj.diagnostics import bound_report, dichotomy_report
 from altproj.dynamics import operator_error_norms, reduced_min_modulus
@@ -87,7 +88,6 @@ def test_reports_derive_each_quantity_once(monkeypatch):
     monkeypatch.setattr(subspace, "_prefix_meets", spy)
     kappa = count_derivations(monkeypatch, configuration_constant)
     table = count_derivations(monkeypatch, pairwise_dixmier_reduced)
-    prefix = count_derivations(monkeypatch, prefix_friedrichs)
     traces = count_derivations(monkeypatch, operator_error_norms)
     gamma = count_derivations(monkeypatch, reduced_min_modulus)
     chain = count_derivations(monkeypatch, dynamics._cyclic_chain)
@@ -109,8 +109,8 @@ def test_reports_derive_each_quantity_once(monkeypatch):
     assert chains == [(1, 2, 3), (3, 1)]
     # R^T R is formed once and shared by kappa and the inclination loop, and
     # its blocks are sliced once for the table, the chains and gamma
-    assert kappa == prefix == gamma == chain == gram == blocks == spectrum == [(system,)]
-    # the prefix meets are stored at construction; no analysis takes one
+    assert kappa == gamma == chain == gram == blocks == spectrum == [(system,)]
+    # the prefix meets and their cosines are stored at construction; no analysis takes one
     assert meets == []
     assert table == [(system,)]
     assert sorted(call[1] for call in traces) == [1, 100]
@@ -180,7 +180,7 @@ def test_derived_functions_take_at_most_one_argument_after_the_system():
     # dynamics imports angles' R^T R, so each function counts once
     derived = {fn for module in (angles, dynamics) for fn in vars(module).values()
                if getattr(getattr(fn, "__code__", None), "co_name", "") == "once"}
-    assert len(derived) == 9
+    assert len(derived) == 8
     for fn in derived:
         assert list(inspect.signature(fn).parameters)[0] == "system", fn.__name__
         assert len(inspect.signature(fn).parameters) <= 2, fn.__name__
