@@ -9,7 +9,7 @@ For N subspaces with intersection M the module computes:
   on the product space equals the norm of the mean projector, so the pair
   is (1, 1) when the intersection is nonzero and (c, kappa) otherwise,
 * the pairwise and prefix angles: entry (i, j) of the pairwise table is the
-  top singular value of the Gram block R_i^T R_j, read from the cached R^T R,
+  top singular value of the Gram block R_i^T R_j that the system holds,
   and a prefix cosine is the principal cosine next after the dim(meet) ones,
   stored by the SVD that took the prefix meet at construction, so no
   analysis builds a pair system or reads a basis,
@@ -26,7 +26,6 @@ kappa0) follows its closed form: (0, 1/N) when M = {0}, (1, 1) otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -90,16 +89,9 @@ def _checked_range(value: float, lo: float, hi: float, check_tol: float, label: 
 
 
 @_derived
-def _reduced_gram(system: SubspaceSystem) -> np.ndarray:
-    """G = R^T R for the stacked reduced bases R = [R_1 ... R_N], r x r with r = sum dim R_j."""
-    stacked = np.hstack([r.basis for r in system.reduced])
-    return stacked.T @ stacked
-
-
-@_derived
 def _gram_eigh(system: SubspaceSystem) -> tuple[np.ndarray, np.ndarray]:
     """(g, v) = eigh(R^T R), ascending: the one spectral solve of G, shared by kappa and the inclination."""
-    return np.linalg.eigh(_reduced_gram(system))
+    return np.linalg.eigh(system.gram)
 
 
 @_derived
@@ -146,14 +138,6 @@ def dixmier_number(system: SubspaceSystem) -> tuple[float, float]:
 
 
 @_derived
-def _gram_blocks(system: SubspaceSystem) -> tuple[tuple[np.ndarray, ...], ...]:
-    """The Gram blocks R_i^T R_j, at [i][j], as read-only views of the cached R^T R."""
-    gram, edges = _reduced_gram(system), [0, *accumulate(r.dim for r in system.reduced)]
-    spans = [slice(a, b) for a, b in zip(edges, edges[1:])]
-    return tuple(tuple(gram[rows, cols] for cols in spans) for rows in spans)
-
-
-@_derived
 def pairwise_dixmier_reduced(system: SubspaceSystem) -> np.ndarray:
     """Symmetric N x N table of ||P_i~ P_j~|| over the reduced subspaces.
 
@@ -162,7 +146,7 @@ def pairwise_dixmier_reduced(system: SubspaceSystem) -> np.ndarray:
     (0 when a block is empty).  The diagonal is 1 for nonzero reduced
     subspaces and 0 otherwise.
     """
-    n, blocks, check_tol = system.n_subspaces, _gram_blocks(system), system.tol.check_tol
+    n, blocks, check_tol = system.n_subspaces, system.gram_blocks, system.tol.check_tol
     table = np.diag([1.0 if r.dim else 0.0 for r in system.reduced])
     for i in range(n):
         for j in range(i + 1, n):

@@ -161,6 +161,10 @@ def _cmd_angles(args) -> int:
 
 
 def _cmd_iterate(args) -> int:
+    if args.coverage_window is not None and args.order != "random":
+        raise ValueError("--coverage-window needs --order random")
+    if args.indices is not None and args.order != "explicit":
+        raise ValueError("--indices needs --order explicit")
     system = _read_system(args.system)
     n = system.n_subspaces
     if args.order == "cyclic":

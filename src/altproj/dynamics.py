@@ -6,11 +6,11 @@ T = P_N ... P_1, the reduced minimum modulus of I - T, norms of arbitrary
 products of projections, and a finite-horizon slow-convergence probe built
 on block-diagonal families of tilted planes.
 As P_j = P_M + R_j R_j^T for the reduced bases R_j, every route reads the Gram
-blocks R_i^T R_j of the cached R^T R, and a vector iteration reads R_j^T x0
+blocks R_i^T R_j that the system holds, and a vector iteration reads R_j^T x0
 besides; no route forms a d x d matrix, and the cyclic chain, the power
 traces and gamma(I - T) are computed once per system.  The power traces walk
 the powers of K W in stacks of b = isqrt(n), each (K W)^b times the one before
-(Paterson & Stockmeyer 1973), other orders through chunks of zero-padded blocks of R^T R.
+(Paterson & Stockmeyer 1973), other orders through chunks of zero-padded Gram blocks.
 Every walk carries a power-of-two exponent, so while one stack decays by less than 2^-500
 a 0.0 in a trace is a true error below 2^-1074.
 """
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angles import _gram_blocks, friedrichs_number
+from .angles import friedrichs_number
 from .corpus import tilted_pairs
 from .numerics import NumericalFailure, operator_norm
 from .subspace import SubspaceSystem, _derived
@@ -44,8 +44,8 @@ __all__ = [
 class IndexSchedule:
     """A deterministic stream of projection indices in {1..N}.
 
-    kind is "cyclic", "random" (drawn from an integer seed) or "explicit"
-    (the only kind that takes `indices`).  For random schedules with a
+    kind is "cyclic", "random" (the only kind with a seed, an integer, and a
+    coverage window) or "explicit" (the only one with `indices`).  With a
     coverage window w, every window of w consecutive indices contains all of
     {1..N}: for w < 2N-1 the only such streams are periodic repeats of a
     single permutation, so one seeded permutation is tiled; for w >= 2N-1
@@ -73,6 +73,8 @@ class IndexSchedule:
             raise ValueError(f"a {self.kind} schedule takes no index list")
         if self.kind == "random" and (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))):
             raise ValueError(f"a random schedule needs an integer seed, got {self.seed!r}")
+        if self.kind != "random" and (self.seed, self.coverage_window) != (None, None):
+            raise ValueError(f"a {self.kind} schedule takes no seed and no coverage window")
         if self.coverage_window is not None and self.coverage_window < self.n_subspaces:
             raise ValueError("coverage window cannot be shorter than the index alphabet")
 
@@ -192,7 +194,7 @@ def _gram_chunks(system: SubspaceSystem, idx: list[int], first: np.ndarray):
     """Yield the reduced errors of the steps onto M_(idx[t]+1), 32 a chunk, each one np.dot with a Gram block."""
     n, m = system.n_subspaces, max(r.dim for r in system.reduced)
     padded = np.zeros((n, n, m, m))
-    for i, row in enumerate(_gram_blocks(system)):
+    for i, row in enumerate(system.gram_blocks):
         for j, block in enumerate(row):
             padded[i, j, :block.shape[0], :block.shape[1]] = block
     blocks = [list(row) for row in padded]
@@ -210,7 +212,7 @@ def _reduced_chain(system: SubspaceSystem, indices) -> np.ndarray:
 
     P_{i_k} ... P_{i_1} - P_M = R_{i_k} (chain) R_{i_1}^T; one index gives the identity.
     """
-    blocks = _gram_blocks(system)
+    blocks = system.gram_blocks
     chain = np.eye(system.reduced[indices[0] - 1].dim)
     for prev, nxt in zip(indices, indices[1:]):
         chain = blocks[nxt - 1][prev - 1] @ chain
@@ -265,7 +267,7 @@ def reduced_min_modulus(system: SubspaceSystem) -> float:
     if system.n_subspaces == 2:
         c = friedrichs_number(system)
         return float((1.0 - c * c) / np.sqrt((2.0 - c * c + c * np.sqrt(4.0 - 3.0 * c * c)) / 2.0))
-    blocks, r1 = _gram_blocks(system), system.reduced[0].dim
+    blocks, r1 = system.gram_blocks, system.reduced[0].dim
     lam, v = np.linalg.eigh(np.block([[blocks[0][0], blocks[0][-1]], [blocks[-1][0], blocks[-1][-1]]]))
     c = np.sqrt(np.maximum(lam, 0.0))[:, None] * v.T
     k, _ = _cyclic_chain(system)
@@ -294,18 +296,24 @@ class SlowSequence:
 
     Built-ins: power decay a_n = (n + 2)^(-p), log decay
     a_n = 1/log(n + 2), or an explicit list (which may be all zeros for
-    degenerate probes).  `values` checks finiteness, nonnegativity and a
-    nonincreasing tail over the requested horizon.
+    degenerate probes), each checked when built; `values` checks finiteness,
+    nonnegativity and a nonincreasing tail over the requested horizon.
     """
 
     kind: str
     exponent: float = 0.5
     explicit_values: tuple[float, ...] | None = None
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("power", "log", "explicit"):
+            raise ValueError(f"unknown sequence kind {self.kind!r}")
+        if self.kind == "power" and not 0.0 < self.exponent < math.inf:
+            raise ValueError(f"power decay needs a finite positive exponent, got {self.exponent!r}")
+        if (self.kind == "explicit") != (self.explicit_values is not None):
+            raise ValueError("an explicit sequence needs explicit_values, and no other kind takes them")
+
     @classmethod
     def power(cls, exponent: float) -> "SlowSequence":
-        if exponent <= 0:
-            raise ValueError("power decay needs a positive exponent")
         return cls(kind="power", exponent=exponent)
 
     @classmethod
@@ -324,12 +332,10 @@ class SlowSequence:
             a = (n + 2.0) ** (-self.exponent)
         elif self.kind == "log":
             a = 1.0 / np.log(n + 2.0)
-        elif self.kind == "explicit":
-            if self.explicit_values is None or len(self.explicit_values) < horizon:
+        else:
+            if len(self.explicit_values) < horizon:
                 raise ValueError(f"explicit sequence shorter than horizon {horizon}")
             a = np.asarray(self.explicit_values[:horizon], dtype=float)
-        else:
-            raise ValueError(f"unknown sequence kind {self.kind!r}")
         if not np.isfinite(a).all() or (a < 0).any():
             raise ValueError("sequence values must be finite and nonnegative")
         tail = a[horizon // 2:]

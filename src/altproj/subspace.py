@@ -1,21 +1,23 @@
 """Linear subspaces of R^d and subspace systems.
 
 A `Subspace` stores an orthonormal basis; a `SubspaceSystem` bundles N >= 2
-subspaces of a common ambient space as orthonormal bases only: the prefix
-meets M_1 ∩ ... ∩ M_j and their cosines, each from one SVD of the one before
-against M_j, the last meet being the intersection M, and the reduced
-subspaces (each component intersected with the orthogonal complement of M).
-As P_j = P_M + R_j R_j^T for the reduced basis R_j, the analyses read only
-the Gram blocks R_i^T R_j of R^T R, formed once, and no d x d matrix.  A
-system is frozen and holds its `TolerancePolicy`, which every analysis
-reads, and what `_derived` computes from it once; all of it is a pure
-function of the bases and the policy, so concurrent reads are safe.
+subspaces of a common ambient space and is the one stage that reads their
+d-row bases: one SVD per step of the prefix chain M_1 ∩ ... ∩ M_j gives the
+step's cosine and the next meet, the last being the intersection M, and the
+reduced subspaces (each component intersected with the orthogonal complement
+of M) give the Gram matrix R^T R and its blocks R_i^T R_j.  As
+P_j = P_M + R_j R_j^T for the reduced basis R_j, the analyses read those
+blocks, and R_j^T x0 for a start vector, but no d x d matrix.  A system is
+frozen and holds its `TolerancePolicy`, which every analysis reads, and what
+`_derived` computes from it once; all of it is a pure function of the bases
+and the policy, so concurrent reads are safe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import wraps
+from itertools import accumulate
 
 import numpy as np
 
@@ -73,9 +75,8 @@ class Subspace:
         return self.basis.shape[1]
 
 
-def _prefix_meets(subs: tuple[Subspace, ...],
-                  tol: TolerancePolicy) -> tuple[tuple[Subspace, ...], tuple[float, ...]]:
-    """M_1, M_1 ∩ M_2, ..., M_1 ∩ ... ∩ M_N along the prefix chain, and each step's Friedrichs cosine.
+def _prefix_meets(subs: tuple[Subspace, ...], tol: TolerancePolicy) -> tuple[Subspace, tuple[float, ...]]:
+    """M_1 ∩ ... ∩ M_N along the prefix chain, and each step's Friedrichs cosine.
 
     For an orthonormal basis A of the current prefix and C = B_j^T A, the
     singular values of A - B_j C are its principal sines to M_j (Bjorck &
@@ -87,13 +88,13 @@ def _prefix_meets(subs: tuple[Subspace, ...],
     """
     if any(s.ambient_dim != subs[0].ambient_dim for s in subs):
         raise ValueError("subspaces must share the ambient dimension")
-    meets, cosines = [subs[0]], []
+    meet, cosines = subs[0], []
     for s in subs[1:]:
-        a, c = meets[-1].basis, s.basis.T @ meets[-1].basis
+        a, c = meet.basis, s.basis.T @ meet.basis
         _, sines, vt = np.linalg.svd(a - s.basis @ c, full_matrices=False)
-        meets.append(Subspace(s.ambient_dim, a @ vt[sines <= tol.check_tol].T))
+        meet = Subspace(s.ambient_dim, a @ vt[sines <= tol.check_tol].T)
         cosines.append(float(np.linalg.norm(c @ vt[sines > tol.check_tol].T, axis=0).max(initial=0.0)))
-    return tuple(meets), tuple(cosines)
+    return meet, tuple(cosines)
 
 
 def intersection_of(subspaces, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
@@ -101,54 +102,55 @@ def intersection_of(subspaces, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
     subs = tuple(subspaces)
     if not subs:
         raise ValueError("need at least one subspace")
-    return _prefix_meets(subs, tol)[0][-1]
+    return _prefix_meets(subs, tol)[0]
 
 
 @dataclass(frozen=True, eq=False)
 class SubspaceSystem:
     """An ordered family of N >= 2 subspaces of a common R^d, under one policy.
 
-    The prefix meets M_1 ∩ ... ∩ M_j for j = 1..N, the last of which is the
-    intersection, the Friedrichs cosines of (M_1 ∩ ... ∩ M_{j-1}, M_j) for
-    j = 2..N and the reduced subspaces are computed once at construction;
-    the analyses' derived quantities are computed on first use and kept.
+    Construction is the one stage that reads d-row bases.  It keeps the
+    intersection M, the Friedrichs cosines of (M_1 ∩ ... ∩ M_{j-1}, M_j) for
+    j = 2..N, the reduced subspaces R_j (the components themselves when
+    M = {0}), their Gram matrix `gram` = R^T R of R = [R_1 ... R_N] and its
+    blocks `gram_blocks[i][j]` = R_i^T R_j, read-only views of it; the
+    analyses' derived quantities are computed on first use and kept.
     """
 
     subspaces: tuple[Subspace, ...]
     tol: TolerancePolicy = DEFAULT_TOL
     ambient_dim: int = field(init=False)
-    meets: tuple[Subspace, ...] = field(init=False, repr=False)
+    intersection: Subspace = field(init=False, repr=False)
     prefix_cosines: tuple[float, ...] = field(init=False, repr=False)
     reduced: tuple[Subspace, ...] = field(init=False, repr=False)
+    gram: np.ndarray = field(init=False, repr=False)
+    gram_blocks: tuple[tuple[np.ndarray, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         subs = tuple(self.subspaces)
         if len(subs) < 2:
             raise ValueError("a system needs at least two subspaces")
-        d = subs[0].ambient_dim
-        meets, cosines = _prefix_meets(subs, self.tol)
-        meet = meets[-1]
-        reduced = []
-        for s in subs:
+        meet, cosines = _prefix_meets(subs, self.tol)
+        reduced = subs  # M_j ∩ M^perp = M_j when M = {0}
+        if meet.dim:
             # M lies within check_tol of every component (its sines), so the
             # shaved basis has rank dim(M_j) - dim(M) exactly; forcing that
             # rank keeps the identity even when a component coincides with
             # the intersection and the residual is pure round-off
-            basis = s.basis
-            if meet.dim:
-                shaved = s.basis - meet.basis @ (meet.basis.T @ s.basis)
-                basis = np.linalg.svd(shaved, full_matrices=False)[0][:, :s.dim - meet.dim].copy()
-            reduced.append(Subspace(d, basis, name=f"{s.name}~" if s.name else ""))
+            shaved = (s.basis - meet.basis @ (meet.basis.T @ s.basis) for s in subs)
+            reduced = tuple(Subspace(s.ambient_dim, np.linalg.svd(b, full_matrices=False)[0][:, :s.dim - meet.dim],
+                                     name=f"{s.name}~" if s.name else "") for s, b in zip(subs, shaved))
+        stacked = np.hstack([r.basis for r in reduced])
+        gram, edges = stacked.T @ stacked, [0, *accumulate(r.dim for r in reduced)]
+        gram.setflags(write=False)
+        spans = [slice(a, b) for a, b in zip(edges, edges[1:])]
         object.__setattr__(self, "subspaces", subs)
-        object.__setattr__(self, "ambient_dim", d)
-        object.__setattr__(self, "meets", meets)
+        object.__setattr__(self, "ambient_dim", subs[0].ambient_dim)
+        object.__setattr__(self, "intersection", meet)
         object.__setattr__(self, "prefix_cosines", cosines)
-        object.__setattr__(self, "reduced", tuple(reduced))
-
-    @property
-    def intersection(self) -> Subspace:
-        """M = M_1 ∩ ... ∩ M_N, the last prefix meet."""
-        return self.meets[-1]
+        object.__setattr__(self, "reduced", reduced)
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "gram_blocks", tuple(tuple(gram[rows, cols] for cols in spans) for rows in spans))
 
     @property
     def n_subspaces(self) -> int:

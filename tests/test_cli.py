@@ -296,13 +296,31 @@ class TestIterate:
         path = tmp_path / "sys.json"
         run_cli("gen", "--family", "two-lines", "--theta", "0.9", "-o", str(path))
         assert run_cli("iterate", str(path), "--order", "explicit").returncode == 1
-        good = run_cli("iterate", str(path), "--order", "explicit", "--indices", "1,2,1,2", "--iters", "4")
+        # --seed draws the random x0, so every order takes it
+        good = run_cli("iterate", str(path), "--order", "explicit", "--indices", "1,2,1,2", "--iters", "4",
+                       "--seed", "4")
         assert good.returncode == 0
 
     def test_invalid_order_exit_one(self, tmp_path):
         path = tmp_path / "sys.json"
         run_cli("gen", "--family", "two-lines", "--theta", "0.9", "-o", str(path))
         assert run_cli("iterate", str(path), "--order", "zigzag").returncode == 1
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--order", "cyclic", "--coverage-window", "5", "--indices", "9,9"], "--coverage-window"),
+        (["--coverage-window", "5"], "--coverage-window"),
+        (["--order", "explicit", "--indices", "1,2,3", "--coverage-window", "3"], "--coverage-window"),
+        (["--order", "cyclic", "--indices", "9,9"], "--indices"),
+        (["--order", "random", "--coverage-window", "5", "--indices", "1,2,3"], "--indices"),
+    ], ids=["cyclic-both", "default-window", "explicit-window", "cyclic-indices", "random-indices"])
+    def test_a_flag_of_another_order_exits_one_and_names_it(self, tmp_path, capsys, flags, named):
+        # only the order that reads a flag takes it; index 9 of N = 3 would otherwise go unchecked
+        path = tmp_path / "sys.json"
+        path.write_text(dump_system(example3(4)))
+        assert cli.main(["iterate", str(path), *flags, "--iters", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"altproj: error: {named} needs --order ")
 
 
 class TestBounds:
@@ -384,6 +402,14 @@ class TestProbeSlow:
 
     def test_bad_seq_form_exit_one(self):
         assert run_cli("probe-slow", "--k", "2", "--seq", "exp", "--horizon", "5").returncode == 1
+
+    @pytest.mark.parametrize("seq", ["pow:inf", "pow:0", "pow:nan", "pow:-1"])
+    def test_a_constant_power_target_exits_one(self, capsys, seq):
+        # pow:0 is a constant target and pow:inf an all-zero one, which any x meets
+        assert cli.main(["probe-slow", "--k", "3", "--seq", seq, "--horizon", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "power decay needs a finite positive exponent" in err
 
     def test_rule_flag_is_gone(self):
         result = run_cli("probe-slow", "--k", "2", "--rule", "inv-k", "--horizon", "5")

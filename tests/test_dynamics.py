@@ -98,6 +98,13 @@ class TestIndexSchedule:
         with pytest.raises(ValueError, match=f"a {kind} schedule takes no index list"):
             IndexSchedule(kind=kind, n_subspaces=3, indices=(5,), **extra)
 
+    @pytest.mark.parametrize("kind, extra", [("cyclic", {}), ("explicit", {"indices": (1, 2)})])
+    @pytest.mark.parametrize("given", [{"seed": 4}, {"coverage_window": 5}, {"seed": 4, "coverage_window": 5}])
+    def test_only_a_random_schedule_takes_a_seed_and_a_window(self, kind, extra, given):
+        # either would change nothing in the stream of a cyclic or explicit schedule
+        with pytest.raises(ValueError, match=f"a {kind} schedule takes no seed and no coverage window"):
+            IndexSchedule(kind=kind, n_subspaces=3, **extra, **given)
+
 
 class TestCyclicOperator:
     def test_orthogonal_lines_annihilate(self):
@@ -470,6 +477,18 @@ class TestSlowSequence:
             SlowSequence.power(0.5).values(0)
         with pytest.raises(ValueError, match="unknown sequence kind 'cubic'"):
             SlowSequence(kind="cubic").values(2)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"kind": "cubic"}, "unknown sequence kind 'cubic'"),
+        *[({"kind": "power", "exponent": p}, "power decay needs a finite positive exponent")
+          for p in (0.0, -0.5, np.inf, np.nan)],
+        ({"kind": "explicit"}, "an explicit sequence needs explicit_values"),
+        ({"kind": "log", "explicit_values": (1.0, 0.5)}, "no other kind takes them"),
+        ({"kind": "power", "explicit_values": (1.0, 0.5)}, "no other kind takes them"),
+    ], ids=["cubic", "pow0", "pow-neg", "pow-inf", "pow-nan", "explicit-no-list", "log-list", "power-list"])
+    def test_a_sequence_is_checked_when_built(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            SlowSequence(**fields)
 
 
 class TestSlowVectorProbe:

@@ -2,10 +2,11 @@
 
 Operator-power traces, covering-product norms, the configuration constant,
 the reduced pairwise table, vector iterations and gamma(I - T) are computed
-from the small blocks R_i^T R_j of the cached R^T R, and the intersection and
-the prefix angles from the one SVD per step of the prefix chain at
-construction; each is compared here with the route that forms the d x d
-projectors, and the table also with the principal cosines of the input bases.
+from the small blocks R_i^T R_j of R^T R, which the system holds, and the
+intersection and the prefix angles from the one SVD per step of the prefix
+chain at construction; each is compared here with the route that forms the
+d x d projectors, and the table also with the principal cosines of the input
+bases.
 """
 
 import dataclasses
@@ -272,8 +273,7 @@ def floats(value):
 def test_no_analysis_reads_a_basis_once_the_gram_exists(name):
     # the reports read R^T R and the prefix cosines stored at construction, never a basis
     intact, blind = BLIND_SYSTEMS[name](), BLIND_SYSTEMS[name]()
-    angles._reduced_gram(blind)
-    for sub in (*blind.subspaces, *blind.meets, *blind.reduced):
+    for sub in (*blind.subspaces, blind.intersection, *blind.reduced):
         nan = np.full(sub.basis.shape, np.nan)
         nan.setflags(write=False)
         object.__setattr__(sub, "basis", nan)
@@ -381,21 +381,6 @@ def test_prefix_cosine_keeps_its_digits_at_large_angles(t):
     # the first meet is span(e1); the third component is the same line, lifted to R^3
     triple = SubspaceSystem((Subspace(3, np.eye(3)[:, :2]), Subspace(3, np.eye(3)[:, [0, 2]]),
                              Subspace(3, np.append(tilted, 0.0)[:, None])))
-    assert triple.meets[1].dim == 1
+    assert intersection_of(triple.subspaces[:2]).dim == 1
     assert prefix_friedrichs(pair) == pytest.approx((t,), rel=1e-12, abs=0.0)
     assert prefix_friedrichs(triple) == pytest.approx((0.0, t), rel=1e-12, abs=0.0)
-
-
-def test_prefix_angles_build_each_prefix_once(monkeypatch):
-    system, pair = common_core(10, (4, 4, 4, 4), 1, seed=0), two_lines(0.7)
-    calls, prefix_meets = [], subspace._prefix_meets
-
-    def spy(subspaces, tol):
-        calls.append(len(subspaces))
-        return prefix_meets(subspaces, tol)
-
-    monkeypatch.setattr(subspace, "_prefix_meets", spy)
-    prefix_friedrichs(system)
-    prefix_friedrichs(pair)
-    # every prefix meet is stored at construction, so none is taken again
-    assert calls == []

@@ -226,8 +226,33 @@ def test_every_stored_meet_lies_in_its_prefix(build):
     # the membership the construction promises: M_1 ∩ ... ∩ M_j passes
     # the membership test for each of M_1..M_j under the system's policy
     system = build()
-    assert len(system.meets) == system.n_subspaces
-    for j, meet in enumerate(system.meets):
+    for j in range(system.n_subspaces):
+        meet = intersection_of(system.subspaces[:j + 1], system.tol)
         for v in meet.basis.T:
             assert all(contains(s, v, system.tol) for s in system.subspaces[:j + 1])
-    assert system.meets[-1] is system.intersection
+    assert meet.basis.tobytes() == system.intersection.basis.tobytes()
+    assert meet.basis.shape == system.intersection.basis.shape
+
+
+@pytest.mark.parametrize("build", [lambda: random_system(9, (3, 3, 3), seed=0), lambda: two_lines(0.5),
+                                   lambda: common_core(10, (4, 5, 4), 2, seed=1),
+                                   lambda: common_core(8, (3, 4, 3), 1, seed=0)],
+                         ids=["triple9", "lines", "core10", "core8"])
+def test_the_system_holds_its_gram_matrix_and_blocks(build):
+    system = build()
+    stacked = np.hstack([r.basis for r in system.reduced])
+    assert system.gram.tobytes() == (stacked.T @ stacked).tobytes()
+    assert system.gram.shape == (stacked.shape[1],) * 2
+    with pytest.raises(ValueError):
+        system.gram[0, 0] = 0.0
+    for i, ri in enumerate(system.reduced):
+        for j, rj in enumerate(system.reduced):
+            block = system.gram_blocks[i][j]
+            assert block.shape == (ri.dim, rj.dim)
+            assert np.shares_memory(block, system.gram) and not block.flags.writeable
+            np.testing.assert_allclose(block, ri.basis.T @ rj.basis, rtol=0.0, atol=1e-14)
+    # M_j ∩ M^perp = M_j when M = {0}: the components are their own reduced subspaces
+    core = system.intersection.dim
+    for s, r in zip(system.subspaces, system.reduced):
+        assert (r is s) == (core == 0)
+        assert r.dim == s.dim - core

@@ -1,11 +1,11 @@
 """A system is the single home of its tolerance policy and of what is derived from it.
 
-Every analysis reads `system.tol`.  The prefix meets and their cosines are
-stored at construction, and the Gram matrix R^T R of the stacked reduced
-bases, its blocks R_i^T R_j, its eigh, kappa, the pairwise table, the
-cyclic chain (K, K W), the power traces and gamma(I - T) are computed once
-per system and then shared, read-only, by every later call; no analysis
-builds a second system.
+Every analysis reads `system.tol`.  The intersection, the prefix cosines
+and the Gram matrix R^T R of the stacked reduced bases with its blocks
+R_i^T R_j are stored at construction, and the eigh of R^T R, kappa, the
+pairwise table, the cyclic chain (K, K W), the power traces and gamma(I - T)
+are computed once per system and then shared, read-only, by every later
+call; no analysis builds a second system.
 """
 
 import dataclasses
@@ -91,8 +91,6 @@ def test_reports_derive_each_quantity_once(monkeypatch):
     traces = count_derivations(monkeypatch, operator_error_norms)
     gamma = count_derivations(monkeypatch, reduced_min_modulus)
     chain = count_derivations(monkeypatch, dynamics._cyclic_chain)
-    gram = count_derivations(monkeypatch, angles._reduced_gram)
-    blocks = count_derivations(monkeypatch, angles._gram_blocks)
     spectrum = count_derivations(monkeypatch, angles._gram_eigh)
 
     angle_report(system)
@@ -107,10 +105,9 @@ def test_reports_derive_each_quantity_once(monkeypatch):
     assert solves["eigvalsh"] == []
     # K is built once, for the cyclic chain, and W once, as the wrap-around
     assert chains == [(1, 2, 3), (3, 1)]
-    # R^T R is formed once and shared by kappa and the inclination loop, and
-    # its blocks are sliced once for the table, the chains and gamma
-    assert kappa == gamma == chain == gram == blocks == spectrum == [(system,)]
-    # the prefix meets and their cosines are stored at construction; no analysis takes one
+    # the eigh of R^T R is shared by kappa and the inclination loop
+    assert kappa == gamma == chain == spectrum == [(system,)]
+    # the intersection and the prefix cosines are stored at construction; no analysis takes a meet
     assert meets == []
     assert table == [(system,)]
     assert sorted(call[1] for call in traces) == [1, 100]
@@ -129,8 +126,7 @@ def test_a_pair_reads_kappa_from_its_cosine(monkeypatch, build):
     angle_report(system)
     bound_report(system, n_max=100)
     dichotomy_report(system)
-    gram = angles._reduced_gram(system)
-    assert not any(np.array_equal(a, gram) for a in solves["eigh"] + solves["eigvalsh"])
+    assert not any(np.array_equal(a, system.gram) for a in solves["eigh"] + solves["eigvalsh"])
     assert spectrum == []
     assert configuration_constant(system) == (1.0 + pairwise_dixmier_reduced(system)[0, 1]) / 2.0
 
@@ -176,11 +172,10 @@ def test_the_system_and_its_cached_values_refuse_writes():
 
 
 def test_derived_functions_take_at_most_one_argument_after_the_system():
-    # the memo keys a call as made, so a second argument could be keyed two ways;
-    # dynamics imports angles' R^T R, so each function counts once
+    # the memo keys a call as made, so a second argument could be keyed two ways
     derived = {fn for module in (angles, dynamics) for fn in vars(module).values()
                if getattr(getattr(fn, "__code__", None), "co_name", "") == "once"}
-    assert len(derived) == 8
+    assert len(derived) == 6
     for fn in derived:
         assert list(inspect.signature(fn).parameters)[0] == "system", fn.__name__
         assert len(inspect.signature(fn).parameters) <= 2, fn.__name__
