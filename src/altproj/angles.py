@@ -180,12 +180,12 @@ def _inclination_loop(system: SubspaceSystem) -> tuple[float, float]:
     S D(lam) S, linear in lam, so one eigh gives d, its gradient q_j = ||(S u)_j||^2
     at the top eigenvector u, its eigenvalue Hessian, and y = R S^+ u with those q_j.
     Newton steps on the simplex from uniform lam (the eigh of G / N) close the gap where the top
-    eigenvalue at the minimum is simple (Overton 1988); the answer then depends on
-    the subspaces alone.  While a gap remains, y is sought on the sphere of the top
-    three eigenvectors by a sample and Gauss-Newton on q_j = d, exact where
-    Brickman's theorem gives a zero gap; past that, for the duality-gap class, a
-    heuristic primal search: power steps with multiplicative weights, one Newton
-    restart from their weights, and damped steps up the farthest block's q_j.
+    eigenvalue at the minimum is simple (Overton 1988), often at the next trial's top eigenvector
+    predicted to first order (Kato 1966), with no eigh of its own: any u is a y with ||y|| <= 1,
+    so q_j never overstates.  The answer then depends on the subspaces alone.  While a gap remains,
+    y is sought on the sphere of the top three eigenvectors by a sample and Gauss-Newton on q_j = d,
+    exact where Brickman's theorem gives a zero gap; past that, for the duality-gap class, a heuristic
+    primal search: multiplicative-weight power steps, a Newton restart, damped steps up the worst q_j.
     """
     n, tol, eps = system.n_subspaces, system.tol.check_tol, np.finfo(float).eps
     member = np.repeat(np.eye(n), [r.dim for r in system.reduced], axis=0)
@@ -215,7 +215,8 @@ def _inclination_loop(system: SubspaceSystem) -> tuple[float, float]:
         while gap() > tol:
             z = root @ vecs
             b = (z[:, :-1] * z[:, -1:]).T @ member
-            hess = 2.0 * b.T @ (b / np.maximum(mu[-1] - mu[:-1], eps * mu[-1])[:, None])
+            gaps = np.maximum(mu[-1] - mu[:-1], eps * mu[-1])
+            hess = 2.0 * b.T @ (b / gaps[:, None])
             free = np.flatnonzero((lam > 0.0) | (q < mu[-1]))
             kkt, scale = np.ones((free.size + 1,) * 2), float(np.abs(hess).max()) or 1.0
             kkt[:-1, :-1], kkt[-1, -1] = hess[np.ix_(free, free)] / scale, 0.0
@@ -223,6 +224,11 @@ def _inclination_loop(system: SubspaceSystem) -> tuple[float, float]:
             step[free] = np.linalg.lstsq(kkt, np.append(-q[free], 0.0) / scale, rcond=None)[0][:-1]
             shrink = (step < 0.0) & (lam > 0.0)  # a zero weight that the step lowers stays at zero
             t = min(1.0, float((lam[shrink] / -step[shrink]).min(initial=np.inf)))
+            kept = best[:]  # the trial's top eigenvector to first order, kept only if it closes the gap
+            visit(vecs[:, -1] + vecs[:, :-1] @ ((b @ (t * step)) / gaps))
+            if gap() <= tol:
+                return
+            best[:] = kept
             for _ in range(9):
                 trial = np.where(lam + t * step > eps, lam + t * step, 0.0)
                 trial_mu, trial_vecs, trial_q = solve(trial / trial.sum())

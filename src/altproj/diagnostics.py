@@ -213,7 +213,7 @@ def eq_qua_check(system: SubspaceSystem) -> tuple[BoundCheck, BoundCheck]:
 
 def remark_product_check(system: SubspaceSystem, indices) -> BoundCheck:
     """||P_{i_k} ... P_{i_1} - P_M|| <= sqrt(1 - l^2/k^2) for a covering list."""
-    idx = [int(i) for i in indices]
+    idx = list(indices)
     if set(idx) != set(range(1, system.n_subspaces + 1)):
         raise ValueError("the index list must cover every subspace")
     ell = inclination_bounds(configuration_constant(system), system.n_subspaces)[0]

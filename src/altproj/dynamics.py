@@ -62,13 +62,17 @@ class IndexSchedule:
     def __post_init__(self) -> None:
         if self.kind not in ("cyclic", "random", "explicit"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
+        window = () if self.coverage_window is None else (self.coverage_window,)
+        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer))
+               for v in (self.n_subspaces, *window, *(self.indices or ()))):
+            raise ValueError("n_subspaces, the coverage window and the indices must be integers")
         if self.n_subspaces < 1:
             raise ValueError("n_subspaces must be >= 1")
         if self.kind == "explicit":
             if not self.indices:
-                raise ValueError("explicit schedules need a nonempty index list")
+                raise ValueError("an index list must be nonempty")
             if any(not 1 <= i <= self.n_subspaces for i in self.indices):
-                raise ValueError("explicit indices must lie in 1..N")
+                raise ValueError("indices must lie in 1..N")
         elif self.indices is not None:
             raise ValueError(f"a {self.kind} schedule takes no index list")
         if self.kind == "random" and (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))):
@@ -88,7 +92,7 @@ class IndexSchedule:
 
     @classmethod
     def explicit(cls, indices, n_subspaces: int) -> "IndexSchedule":
-        return cls(kind="explicit", n_subspaces=n_subspaces, indices=tuple(int(i) for i in indices))
+        return cls(kind="explicit", n_subspaces=n_subspaces, indices=tuple(indices))
 
     def first(self, count: int) -> np.ndarray:
         """The first `count` indices of the stream (1-based values)."""
@@ -277,11 +281,7 @@ def reduced_min_modulus(system: SubspaceSystem) -> float:
 
 def random_product_norm(system: SubspaceSystem, indices) -> float:
     """||P_{i_k} ... P_{i_1} - P_M|| for an explicit index list (1-based), from its reduced chain."""
-    idx = [int(i) for i in indices]
-    if not idx:
-        raise ValueError("index list must be nonempty")
-    if any(not 1 <= i <= system.n_subspaces for i in idx):
-        raise ValueError("indices must lie in 1..N")
+    idx = list(IndexSchedule.explicit(indices, system.n_subspaces).indices)
     cyclic = idx == list(range(1, system.n_subspaces + 1))  # ||K|| is then cached on the system
     value = (operator_error_norms(system, 1).errors[0] if cyclic
              else operator_norm(_reduced_chain(system, idx)))

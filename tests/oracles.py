@@ -11,6 +11,7 @@ the top eigenvalue alone of R^T R, and the Gramian sample, a lower witness
 for kappa, with the membership test it uses.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -116,6 +117,20 @@ def grid_inclination(system, resolution=0.01):
     points = sphere_grid(basis.shape[1], resolution)
     values = np.max([np.linalg.norm(a @ points, axis=0) for a in residuals], axis=0)
     return float(values.min())
+
+
+def grid_dual_inclination(system, steps=40):
+    """Best Lagrangian lower bound on l over a simplex grid of weights lam, by dense projectors.
+
+    For unit y orthogonal to M, min_j ||P_j y||^2 <= y^T (sum_j lam_j P_j) y, so each
+    lam bounds l below by sqrt(1 - the top eigenvalue of sum_j lam_j P_j on M^perp).
+    """
+    basis = orthogonal_complement(system.intersection).basis
+    blocks = np.array([basis.T @ projector(s) @ basis for s in system.subspaces])
+    corners = [c for c in itertools.product(range(steps + 1), repeat=len(blocks) - 1) if sum(c) <= steps]
+    lam = np.array([(*c, steps - sum(c)) for c in corners]) / steps
+    tops = np.linalg.eigvalsh(np.einsum("kj,jab->kab", lam, blocks))[:, -1]
+    return float(np.sqrt(max(0.0, 1.0 - tops.min())))
 
 
 def circle_min_modulus(system, resolution=1e-5):

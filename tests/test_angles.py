@@ -18,6 +18,7 @@ from cases import common_core_batch, coordinate_axes, grid_corpus, inclination_c
 from oracles import (
     full_space,
     gramian_sample,
+    grid_dual_inclination,
     grid_inclination,
     optimal_gram_vectors,
     pairwise_friedrichs,
@@ -328,7 +329,9 @@ class TestInclination:
         est = inclination(system)
         assert est.estimate - est.dual_lower <= system.tol.check_tol
 
-    def test_a_met_certificate_stops_the_loop_before_its_cap(self, monkeypatch):
+    @staticmethod
+    def _spy_inclination(monkeypatch, system):
+        """The inclination of the system, the shapes of the eighs it takes and the np.exp calls it makes."""
         solves, exps = [], []
         eigh, exp = np.linalg.eigh, np.exp
 
@@ -340,15 +343,41 @@ class TestInclination:
             exps.append(x)
             return exp(x, *args, **kwargs)
 
-        system = random_system(400, (5, 5, 5), seed=2)
         monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
         monkeypatch.setattr(np, "exp", exp_spy)
-        est = inclination(system)
-        # the eigh of G gives kappa, S and the uniform dual start, and three
-        # Newton steps, one eigh each, close the gap; no multiplicative-weight
-        # power step (the only caller of np.exp) runs
-        assert len(solves) == 4 and not exps
+        return inclination(system), solves, exps
+
+    def test_a_met_certificate_stops_the_loop_before_its_cap(self, monkeypatch):
+        system = random_system(400, (5, 5, 5), seed=2)
+        est, solves, exps = self._spy_inclination(monkeypatch, system)
+        # the eigh of G gives kappa, S and the uniform dual start, and two Newton
+        # steps, one eigh each, settle d(lam); the top eigenvector at the third
+        # step's weights, predicted to first order, then closes the primal side
+        # without that step's eigh, and no multiplicative-weight power step (the
+        # only caller of np.exp) runs
+        assert len(solves) == 3 and not exps
         assert est.estimate - est.dual_lower <= system.tol.check_tol
+
+    def test_the_predicted_primal_point_saves_a_dense_eigensolve(self, monkeypatch):
+        # the bases span R^192: G and every pencil S D(lam) S are 192 x 192
+        system = random_system(192, (64, 64, 64), seed=0)
+        est, solves, exps = self._spy_inclination(monkeypatch, system)
+        assert solves == [(192, 192)] * 3 and not exps
+        assert est.estimate - est.dual_lower <= system.tol.check_tol
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 10, 19])
+    def test_a_rank_deficient_gram_keeps_the_estimate_above_l(self, seed):
+        # four lines in R^3: N exceeds rank R = 3, so S = G^(1/2) has a null space and
+        # a predicted top eigenvector may leave range(S); y = R S^+ u then has norm
+        # below 1 and each q_j only understates, so the estimate stays above l.  On
+        # seeds 5, 10 and 19 the predicted point is the one that closes the gap.
+        system = random_system(3, (1, 1, 1, 1), seed=seed)
+        assert np.linalg.matrix_rank(system.gram) < system.gram.shape[0]
+        est = inclination(system)
+        assert est.dual_lower <= est.estimate
+        # the grid's minimum lies within its covering radius, resolution / sqrt(2), of l
+        assert est.estimate >= grid_inclination(system, resolution=0.01) - 0.01 / np.sqrt(2.0)
+        assert est.estimate >= grid_dual_inclination(system) - 1e-12
 
     @pytest.mark.parametrize("name, build", inclination_corpus(),
                              ids=[name for name, _ in inclination_corpus()])

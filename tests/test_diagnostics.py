@@ -141,6 +141,13 @@ class TestEndpointSubstitutedChecks:
         with pytest.raises(ValueError):
             remark_product_check(random_system(9, (3, 3, 3), seed=0), [1, 1, 2])
 
+    def test_remark_rejects_non_integer_indices(self):
+        # int() used to truncate them: [1.5, 2, 3] ran as the covering list [1, 2, 3]
+        system = random_system(9, (3, 3, 3), seed=0)
+        for idx in ([1.5, 2, 3, 1], [1.0, 2.0, 3.0]):
+            with pytest.raises(ValueError):
+                remark_product_check(system, idx)
+
 
 class TestDichotomyReport:
     def test_coordinate_example(self):

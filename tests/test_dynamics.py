@@ -93,6 +93,29 @@ class TestIndexSchedule:
         assert IndexSchedule(kind="random", n_subspaces=3, seed=np.int64(7)).first(8).tolist() == \
             IndexSchedule.random(3, seed=7).first(8).tolist()
 
+    def test_explicit_indices_must_be_integers(self):
+        # int() used to truncate them: [1.5, 2.9] ran as [1, 2]
+        with pytest.raises(ValueError, match="the indices must be integers"):
+            IndexSchedule.explicit([1.5, 2.9], 3)
+        with pytest.raises(ValueError, match="the indices must be integers"):
+            IndexSchedule(kind="explicit", n_subspaces=3, indices=(1, True))
+        assert IndexSchedule.explicit(np.array([3, 1, 2]), 3).first(3).tolist() == [3, 1, 2]
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True])
+    def test_n_subspaces_must_be_an_integer(self, n):
+        # 2.5 used to give the stream [1. 2. 3. 1.5]
+        with pytest.raises(ValueError, match="n_subspaces, the coverage window and the indices must be integers"):
+            IndexSchedule.cyclic(n)
+        assert IndexSchedule.cyclic(np.int64(3)).first(4).tolist() == [1, 2, 3, 1]
+
+    @pytest.mark.parametrize("window", [4.5, 5.0, True])
+    def test_coverage_window_must_be_an_integer(self, window):
+        # 4.5 used to be taken as given
+        with pytest.raises(ValueError, match="the coverage window and the indices must be integers"):
+            IndexSchedule.random(3, seed=5, coverage_window=window)
+        assert IndexSchedule.random(3, seed=5, coverage_window=np.int64(5)).first(12).tolist() == \
+            IndexSchedule.random(3, seed=5, coverage_window=5).first(12).tolist()
+
     @pytest.mark.parametrize("kind, extra", [("cyclic", {}), ("random", {"seed": 0})])
     def test_only_an_explicit_schedule_takes_indices(self, kind, extra):
         with pytest.raises(ValueError, match=f"a {kind} schedule takes no index list"):
@@ -450,6 +473,8 @@ class TestRandomProductNorm:
             random_product_norm(system, [])
         with pytest.raises(ValueError):
             random_product_norm(system, [3])
+        with pytest.raises(ValueError, match="must be integers"):
+            random_product_norm(system, [1.5, 2])
 
 
 class TestSlowSequence:
