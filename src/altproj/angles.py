@@ -66,6 +66,8 @@ class InclinationEstimate:
 # inclination loop for N >= 3: steps per phase, scale of the weight and local steps
 _STEP_CAP = 600
 _STEP_SCALE = 3.0
+# pencil order from which the Newton trials take no eigh (`_inclination_loop`); the routes tie near 36
+_CERTIFIED_ORDER = 40
 
 
 @dataclass(eq=False)
@@ -171,6 +173,33 @@ def inclination_bounds(kappa: float, n: int) -> tuple[float, float]:
     return max(0.0, 1.0 - root), min(1.0, float(np.sqrt(max(0.0, 2.0 * n * (1.0 - root)))))
 
 
+def _certified_top(pencil: np.ndarray, x: np.ndarray, spread: float) -> tuple[float, float, np.ndarray]:
+    """(bound, theta, u): theta = u^T pencil u <= lambda_max(pencil) <= bound, which is inf if unproved.
+
+    u comes from Rayleigh-quotient iteration from x (Parlett 1980).  Once lambda_2 < alpha = theta - spread/4,
+    spread being the top eigengap an eigh last measured, Kato-Temple bounds lambda_max by theta plus
+    ||pencil u - theta u||^2 / (theta - alpha), and plus theta's rounding here; a Cholesky of
+    alpha I - pencil + theta u u^T, less its rounding (Demmel 1989), proves lambda_2 < alpha by interlacing.
+    """
+    eps = np.finfo(float).eps
+    for _ in range(4):
+        u = x / np.sqrt(x @ x)
+        theta = u @ pencil @ u
+        resid = pencil @ u - theta * u
+        if resid @ resid <= eps * theta * spread:
+            break
+        x = np.linalg.solve(pencil - theta * np.eye(len(x)), u)
+    else:
+        return np.inf, theta, u
+    alpha, ulps = theta - spread / 4.0, (len(x) + 2.0) * eps
+    shift = ulps * (len(x) * alpha + theta + np.trace(pencil))  # the Cholesky's backward error, and forming its input
+    try:
+        np.linalg.cholesky((alpha - shift) * np.eye(len(x)) - pencil + np.outer(theta * u, u))
+    except np.linalg.LinAlgError:
+        return np.inf, theta, u
+    return theta + 4.0 * (resid @ resid) / spread + 3.0 * ulps * (np.abs(u) @ np.abs(pencil) @ np.abs(u)), theta, u
+
+
 def _inclination_loop(system: SubspaceSystem) -> tuple[float, float]:
     """(estimate, dual_lower) of l for N >= 3, from the dual d(lam) = lambda_max(sum_j lam_j R_j R_j^T).
 
@@ -182,7 +211,11 @@ def _inclination_loop(system: SubspaceSystem) -> tuple[float, float]:
     Newton steps on the simplex from uniform lam (the eigh of G / N) close the gap where the top
     eigenvalue at the minimum is simple (Overton 1988), often at the next trial's top eigenvector
     predicted to first order (Kato 1966), with no eigh of its own: any u is a y with ||y|| <= 1,
-    so q_j never overstates.  The answer then depends on the subspaces alone.  While a gap remains,
+    so q_j never overstates.  From order _CERTIFIED_ORDER up the trials after the first eigh take none:
+    `_certified_top` bounds d above, so sqrt(1 - bound) stays below l, and one solve gives the Hessian
+    2 W^T (theta I - P + u u^T)^-1 W, W_j = (I - u u^T) S E_j S u, P = S D(lam) S.  A failed certificate, a
+    halving or a stall gives back best and low, and the eigh trials run as below that order, so open gaps
+    keep their answers bit for bit.  The answer then depends on the subspaces alone.  While a gap remains,
     y is sought on the sphere of the top three eigenvectors by a sample and Gauss-Newton on q_j = d,
     exact where Brickman's theorem gives a zero gap; past that, for the duality-gap class, a heuristic
     primal search: multiplicative-weight power steps, a Newton restart, damped steps up the worst q_j.
@@ -201,7 +234,7 @@ def _inclination_loop(system: SubspaceSystem) -> tuple[float, float]:
             best[:] = q.min(), u, z, q
         return u, z, q
 
-    def solve(lam, pencil=None):
+    def solve(lam, pencil=None):  # pencil: (values, vectors) when known, G / N's or a certified (bound, u)
         mu, vecs = pencil or np.linalg.eigh((root * (member @ lam)) @ root)
         if mu[-1] < low[0]:
             low[:] = mu[-1], lam, vecs[:, -3:]
@@ -210,34 +243,67 @@ def _inclination_loop(system: SubspaceSystem) -> tuple[float, float]:
     def gap():
         return float(np.sqrt(max(0.0, 1.0 - best[0])) - np.sqrt(max(0.0, 1.0 - low[0])))
 
+    def step(lam, q, top, hess):  # Newton's step on the simplex from gradient q and Hessian hess at d = top
+        free = np.flatnonzero((lam > 0.0) | (q < top))
+        kkt, scale = np.ones((free.size + 1,) * 2), float(np.abs(hess).max()) or 1.0
+        kkt[:-1, :-1], kkt[-1, -1] = hess[np.ix_(free, free)] / scale, 0.0
+        move = np.zeros(n)
+        move[free] = np.linalg.lstsq(kkt, np.append(-q[free], 0.0) / scale, rcond=None)[0][:-1]
+        shrink = (move < 0.0) & (lam > 0.0)  # a zero weight that the step lowers stays at zero
+        return min(1.0, float((lam[shrink] / -move[shrink]).min(initial=np.inf))) * move
+
+    def ahead(lam, move):
+        trial = np.where(lam + move > eps, lam + move, 0.0)
+        return trial / trial.sum()
+
+    def closes(u):  # visit u, a trial's top eigenvector to first order, kept only if it closes the gap
+        kept = best[:]
+        visit(u)
+        if gap() > tol:
+            best[:] = kept
+        return gap() <= tol
+
+    def certify(lam, top, spread, move, x):
+        """Newton trials, each d bounded above by `_certified_top` in place of an eigh: True if the gap closes."""
+        while not closes(x):
+            lam = ahead(lam, move)
+            pencil = (root * (member @ lam)) @ root
+            bound, theta, u = _certified_top(pencil, x, spread)
+            if not top - bound > tol * tol:
+                return False
+            top, q = bound, solve(lam, ([bound], u[:, None]))[2]
+            if gap() <= tol:
+                return True
+            w = (root * (root @ u)) @ member - np.outer(u, q)  # columns (I - u u^T) S E_j S u
+            lift = np.linalg.solve(theta * np.eye(len(u)) - pencil + np.outer(u, u), w)
+            move = step(lam, q, theta, 2.0 * w.T @ lift)
+            x = u + lift @ move
+        return True
+
     def newton(lam, pencil=None):
         mu, vecs, q = solve(lam, pencil)
+        speculate = root.shape[0] >= _CERTIFIED_ORDER
         while gap() > tol:
             z = root @ vecs
             b = (z[:, :-1] * z[:, -1:]).T @ member
             gaps = np.maximum(mu[-1] - mu[:-1], eps * mu[-1])
-            hess = 2.0 * b.T @ (b / gaps[:, None])
-            free = np.flatnonzero((lam > 0.0) | (q < mu[-1]))
-            kkt, scale = np.ones((free.size + 1,) * 2), float(np.abs(hess).max()) or 1.0
-            kkt[:-1, :-1], kkt[-1, -1] = hess[np.ix_(free, free)] / scale, 0.0
-            step = np.zeros(n)
-            step[free] = np.linalg.lstsq(kkt, np.append(-q[free], 0.0) / scale, rcond=None)[0][:-1]
-            shrink = (step < 0.0) & (lam > 0.0)  # a zero weight that the step lowers stays at zero
-            t = min(1.0, float((lam[shrink] / -step[shrink]).min(initial=np.inf)))
-            kept = best[:]  # the trial's top eigenvector to first order, kept only if it closes the gap
-            visit(vecs[:, -1] + vecs[:, :-1] @ ((b @ (t * step)) / gaps))
-            if gap() <= tol:
+            move = step(lam, q, mu[-1], 2.0 * b.T @ (b / gaps[:, None]))
+            x = vecs[:, -1] + vecs[:, :-1] @ ((b @ move) / gaps)
+            if speculate and mu[-1] - mu[-2] > tol:
+                speculate, kept = False, (best[:], low[:])
+                if certify(lam, mu[-1], mu[-1] - mu[-2], move, x):
+                    return
+                best[:], low[:] = kept
+            elif closes(x):
                 return
-            best[:] = kept
             for _ in range(9):
-                trial = np.where(lam + t * step > eps, lam + t * step, 0.0)
-                trial_mu, trial_vecs, trial_q = solve(trial / trial.sum())
+                trial_mu, trial_vecs, trial_q = solve(ahead(lam, move))
                 if trial_mu[-1] < mu[-1]:
                     break
-                t /= 2.0
+                move /= 2.0
             if not mu[-1] - trial_mu[-1] > tol * tol:
                 return
-            lam, mu, vecs, q = trial / trial.sum(), trial_mu, trial_vecs, trial_q
+            lam, mu, vecs, q = ahead(lam, move), trial_mu, trial_vecs, trial_q
 
     newton(np.full(n, 1.0 / n), (g / n, v))  # S S / N = G: its pencil is G's, top value kappa
     if gap() > tol:

@@ -96,6 +96,8 @@ class IndexSchedule:
 
     def first(self, count: int) -> np.ndarray:
         """The first `count` indices of the stream (1-based values)."""
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ValueError(f"count must be an integer, got {count!r}")
         if count < 0:
             raise ValueError("count must be nonnegative")
         n = self.n_subspaces

@@ -88,6 +88,23 @@ def inclination_corpus():
     return systems
 
 
+def large_pencil_corpus():
+    """30 systems whose dual pencil has order r = sum dim R_j >= 24: (name, builder, whether the gap closes).
+
+    On 26 the top eigenvalue at the dual minimum is simple and the gap closes
+    to check_tol; on the other four it stays open.
+    """
+    closing = [(f"triple{3 * m}-{s}", lambda m=m, s=s: random_system(3 * m, (m, m, m), seed=s))
+               for m in (8, 12, 16, 32) for s in range(4)]
+    closing += [(f"core{3 * m + 2}-{s}", lambda m=m, s=s: common_core(3 * m + 2, (m + 1,) * 3, 1, seed=s))
+                for m in (10, 20) for s in range(3)]
+    closing += [(f"quad{4 * m}-{s}", lambda m=m, s=s: random_system(4 * m, (m,) * 4, seed=s))
+                for m in (8, 16) for s in (0, 1)]
+    open_gap = [(f"many{6 * n}-{n}-0", lambda n=n: random_system(6 * n, (3,) * n, seed=0)) for n in (10, 20)]
+    open_gap += [(f"quad{4 * m}-2", lambda m=m: random_system(4 * m, (m,) * 4, seed=2)) for m in (8, 16)]
+    return [(name, build, True) for name, build in closing] + [(name, build, False) for name, build in open_gap]
+
+
 def every_system():
     """Every corpus above as (name, builder) pairs."""
     built = [(f"pairs-{i}", s) for i, s in enumerate(random_pairs_r8())]

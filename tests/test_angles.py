@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import altproj.angles as angles
 from altproj.angles import (
     angle_report,
     configuration_constant,
@@ -14,7 +15,8 @@ from altproj.angles import (
 from altproj.corpus import common_core, example3, random_system, tilted_pairs, two_lines
 from altproj.numerics import operator_norm
 from altproj.subspace import Subspace, SubspaceSystem
-from cases import common_core_batch, coordinate_axes, grid_corpus, inclination_corpus, random_triples_r9
+from cases import (common_core_batch, coordinate_axes, grid_corpus, inclination_corpus, large_pencil_corpus,
+                   random_triples_r9)
 from oracles import (
     full_space,
     gramian_sample,
@@ -331,20 +333,18 @@ class TestInclination:
 
     @staticmethod
     def _spy_inclination(monkeypatch, system):
-        """The inclination of the system, the shapes of the eighs it takes and the np.exp calls it makes."""
+        """The inclination of the system, (name, shape) of each eigh, cholesky and solve it takes, and its exp calls."""
         solves, exps = [], []
-        eigh, exp = np.linalg.eigh, np.exp
 
-        def eigh_spy(a, *args, **kwargs):
-            solves.append(a.shape)
-            return eigh(a, *args, **kwargs)
+        def spy(log, name, fn):
+            def call(a, *args, **kwargs):
+                log.append((name, np.shape(a)))
+                return fn(a, *args, **kwargs)
+            return call
 
-        def exp_spy(x, *args, **kwargs):
-            exps.append(x)
-            return exp(x, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
-        monkeypatch.setattr(np, "exp", exp_spy)
+        for name in ("eigh", "cholesky", "solve"):
+            monkeypatch.setattr(np.linalg, name, spy(solves, name, getattr(np.linalg, name)))
+        monkeypatch.setattr(np, "exp", spy(exps, "exp", np.exp))
         return inclination(system), solves, exps
 
     def test_a_met_certificate_stops_the_loop_before_its_cap(self, monkeypatch):
@@ -359,11 +359,42 @@ class TestInclination:
         assert est.estimate - est.dual_lower <= system.tol.check_tol
 
     def test_the_predicted_primal_point_saves_a_dense_eigensolve(self, monkeypatch):
-        # the bases span R^192: G and every pencil S D(lam) S are 192 x 192
+        # the bases span R^192: G and every pencil S D(lam) S are 192 x 192, above the
+        # order where Newton's trials take no eigh.  Each trial takes Rayleigh-quotient
+        # solves and the Cholesky that proves its bound on d; one more solve gives the
+        # next Hessian, and the second trial's predicted top eigenvector closes the gap
         system = random_system(192, (64, 64, 64), seed=0)
         est, solves, exps = self._spy_inclination(monkeypatch, system)
-        assert solves == [(192, 192)] * 3 and not exps
+        trial = [("solve", (192, 192))] * 2 + [("cholesky", (192, 192)), ("solve", (192, 192))]
+        assert solves == [("eigh", (192, 192))] + trial + trial[1:] and not exps
         assert est.estimate - est.dual_lower <= system.tol.check_tol
+
+    @pytest.mark.parametrize("name, build, closes", large_pencil_corpus(),
+                             ids=[name for name, _, _ in large_pencil_corpus()])
+    def test_the_certified_trials_keep_the_eigh_answers(self, monkeypatch, name, build, closes):
+        system = build()
+        order = system.gram.shape[0]
+        monkeypatch.setattr(angles, "_CERTIFIED_ORDER", order + 1)
+        by_eigh = inclination(system)
+        certified_top, bounds = angles._certified_top, []
+
+        def spy(pencil, x, spread):
+            found = certified_top(pencil, x, spread)
+            bounds.append((found[0], np.linalg.eigvalsh(pencil)[-1]))
+            return found
+
+        monkeypatch.setattr(angles, "_certified_top", spy)
+        monkeypatch.setattr(angles, "_CERTIFIED_ORDER", order)
+        est = inclination(system)
+        # every certified bound lies above the top eigenvalue of the pencil it bounds
+        assert all(bound >= top for bound, top in bounds)
+        if closes:
+            assert min(bounds)[0] < np.inf and est.estimate - est.dual_lower <= system.tol.check_tol
+            assert abs(est.estimate - by_eigh.estimate) <= 1e-12
+            assert -1e-11 <= est.dual_lower - by_eigh.dual_lower <= 1e-14
+        else:
+            # the failed speculation gives back its points: the eigh trials run as they would have
+            assert (est.estimate, est.dual_lower) == (by_eigh.estimate, by_eigh.dual_lower)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 10, 19])
     def test_a_rank_deficient_gram_keeps_the_estimate_above_l(self, seed):

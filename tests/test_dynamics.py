@@ -108,6 +108,15 @@ class TestIndexSchedule:
             IndexSchedule.cyclic(n)
         assert IndexSchedule.cyclic(np.int64(3)).first(4).tolist() == [1, 2, 3, 1]
 
+    @pytest.mark.parametrize("count", [2.5, 3.0, True])
+    @pytest.mark.parametrize("schedule", [IndexSchedule.cyclic(3), IndexSchedule.random(3, seed=5),
+                                          IndexSchedule.explicit([1, 2, 3], 3)], ids=["cyclic", "random", "explicit"])
+    def test_count_must_be_an_integer(self, schedule, count):
+        # cyclic(3).first(2.5) used to give the float stream [1. 2. 3.], and first(True) the stream [1]
+        with pytest.raises(ValueError, match="count must be an integer"):
+            schedule.first(count)
+        assert schedule.first(np.int64(3)).tolist() == schedule.first(3).tolist()
+
     @pytest.mark.parametrize("window", [4.5, 5.0, True])
     def test_coverage_window_must_be_an_integer(self, window):
         # 4.5 used to be taken as given
