@@ -50,9 +50,9 @@ __all__ = [
 class InclinationEstimate:
     """l lies in [dual_lower, estimate], and in the paper's sandwich [lower, upper].
 
-    estimate is max_j dist(y, M_j) at the best unit y found, dual_lower the
-    Lagrangian bound sqrt(1 - d) at the best dual weights, never below sqrt(1 - kappa);
-    the two meet within check_tol unless the dual has a gap (see `_inclination_loop`).
+    estimate is max_j dist(y, M_j) at the best unit y found, dual_lower the Lagrangian bound sqrt(1 - d)
+    at the best dual weights, d with its rounding margin: never below sqrt(1 - kappa (1 + 3 (r + 2) eps)),
+    r = sum_j dim R_j.  The two meet within check_tol unless the dual has a gap (see `_inclination_loop`).
     `certified` is set when the estimate lands inside [lower - tol, upper + tol].
     """
 
@@ -173,6 +173,11 @@ def inclination_bounds(kappa: float, n: int) -> tuple[float, float]:
     return max(0.0, 1.0 - root), min(1.0, float(np.sqrt(max(0.0, 2.0 * n * (1.0 - root)))))
 
 
+def _eigh_margin(top: float, order: int) -> float:
+    """3 (r + 2) eps top: how far rounding may put eigh's top value of a semidefinite order-r pencil below its own."""
+    return 3.0 * (order + 2.0) * np.finfo(float).eps * top
+
+
 def _certified_top(pencil: np.ndarray, x: np.ndarray, spread: float) -> tuple[float, float, np.ndarray]:
     """(bound, theta, u): theta = u^T pencil u <= lambda_max(pencil) <= bound, which is inf if unproved.
 
@@ -209,16 +214,17 @@ def _inclination_loop(system: SubspaceSystem) -> tuple[float, float]:
     S D(lam) S, linear in lam, so one eigh gives d, its gradient q_j = ||(S u)_j||^2
     at the top eigenvector u, its eigenvalue Hessian, and y = R S^+ u with those q_j.
     Newton steps on the simplex from uniform lam (the eigh of G / N) close the gap where the top
-    eigenvalue at the minimum is simple (Overton 1988), often at the next trial's top eigenvector
-    predicted to first order (Kato 1966), with no eigh of its own: any u is a y with ||y|| <= 1,
-    so q_j never overstates.  From order _CERTIFIED_ORDER up the trials after the first eigh take none:
-    `_certified_top` bounds d above, so sqrt(1 - bound) stays below l, and one solve gives the Hessian
-    2 W^T (theta I - P + u u^T)^-1 W, W_j = (I - u u^T) S E_j S u, P = S D(lam) S.  A failed certificate, a
-    halving or a stall gives back best and low, and the eigh trials run as below that order, so open gaps
-    keep their answers bit for bit.  The answer then depends on the subspaces alone.  While a gap remains,
-    y is sought on the sphere of the top three eigenvectors by a sample and Gauss-Newton on q_j = d,
-    exact where Brickman's theorem gives a zero gap; past that, for the duality-gap class, a heuristic
-    primal search: multiplicative-weight power steps, a Newton restart, damped steps up the worst q_j.
+    eigenvalue at the minimum is simple (Overton 1988), so the answer depends on the subspaces alone,
+    often at the next trial's top eigenvector predicted to first order (Kato 1966), with no eigh of its
+    own: any u is a y with ||y|| <= 1, so q_j never overstates.  A trial takes an eigh, whose eigenpairs
+    give the next Hessian, unless the route is certified (order _CERTIFIED_ORDER up, the top eigengap of
+    Newton's first eigh above check_tol, every certificate held): `_certified_top` then bounds d above,
+    and one solve gives the Hessian 2 W^T (theta I - P + u u^T)^-1 W, W_j = (I - u u^T) S E_j S u,
+    P = S D(lam) S.  A certificate that fails or does not lower the bound hands its trial to an eigh,
+    and an eigh's d gets its `_eigh_margin` in dual_lower.  While a gap remains, y is sought on the sphere
+    of the top three eigenvectors at the best weights by a sample and Gauss-Newton on q_j = d, exact where
+    Brickman's theorem gives a zero gap; past that, for the duality-gap class, a heuristic primal search:
+    multiplicative-weight power steps, a Newton restart, damped steps up the worst q_j.
     """
     n, tol, eps = system.n_subspaces, system.tol.check_tol, np.finfo(float).eps
     member = np.repeat(np.eye(n), [r.dim for r in system.reduced], axis=0)
@@ -234,11 +240,10 @@ def _inclination_loop(system: SubspaceSystem) -> tuple[float, float]:
             best[:] = q.min(), u, z, q
         return u, z, q
 
-    def solve(lam, pencil=None):  # pencil: (values, vectors) when known, G / N's or a certified (bound, u)
-        mu, vecs = pencil or np.linalg.eigh((root * (member @ lam)) @ root)
-        if mu[-1] < low[0]:
-            low[:] = mu[-1], lam, vecs[:, -3:]
-        return mu, vecs, visit(vecs[:, -1])[2]
+    def record(lam, top, u, eigh=True):  # top bounds d(lam) above, u its top eigenvector: the gradient q at u
+        if top < low[0]:  # beside an eigh's top value, its rounding margin, which only dual_lower reads
+            low[:] = top, lam, _eigh_margin(top, len(u)) if eigh else 0.0
+        return visit(u)[2]
 
     def gap():
         return float(np.sqrt(max(0.0, 1.0 - best[0])) - np.sqrt(max(0.0, 1.0 - low[0])))
@@ -252,62 +257,49 @@ def _inclination_loop(system: SubspaceSystem) -> tuple[float, float]:
         shrink = (move < 0.0) & (lam > 0.0)  # a zero weight that the step lowers stays at zero
         return min(1.0, float((lam[shrink] / -move[shrink]).min(initial=np.inf))) * move
 
-    def ahead(lam, move):
-        trial = np.where(lam + move > eps, lam + move, 0.0)
-        return trial / trial.sum()
-
-    def closes(u):  # visit u, a trial's top eigenvector to first order, kept only if it closes the gap
-        kept = best[:]
-        visit(u)
-        if gap() > tol:
-            best[:] = kept
-        return gap() <= tol
-
-    def certify(lam, top, spread, move, x):
-        """Newton trials, each d bounded above by `_certified_top` in place of an eigh: True if the gap closes."""
-        while not closes(x):
-            lam = ahead(lam, move)
-            pencil = (root * (member @ lam)) @ root
-            bound, theta, u = _certified_top(pencil, x, spread)
-            if not top - bound > tol * tol:
-                return False
-            top, q = bound, solve(lam, ([bound], u[:, None]))[2]
-            if gap() <= tol:
-                return True
-            w = (root * (root @ u)) @ member - np.outer(u, q)  # columns (I - u u^T) S E_j S u
-            lift = np.linalg.solve(theta * np.eye(len(u)) - pencil + np.outer(u, u), w)
-            move = step(lam, q, theta, 2.0 * w.T @ lift)
-            x = u + lift @ move
-        return True
-
-    def newton(lam, pencil=None):
-        mu, vecs, q = solve(lam, pencil)
-        speculate = root.shape[0] >= _CERTIFIED_ORDER
+    def newton(lam, mu, vecs):  # from the eigenpairs (mu, vecs) of the pencil at lam
+        spread, top, q = mu[-1] - mu[-2], mu[-1], record(lam, mu[-1], vecs[:, -1])
+        certified = root.shape[0] >= _CERTIFIED_ORDER and spread > tol
         while gap() > tol:
-            z = root @ vecs
-            b = (z[:, :-1] * z[:, -1:]).T @ member
-            gaps = np.maximum(mu[-1] - mu[:-1], eps * mu[-1])
-            move = step(lam, q, mu[-1], 2.0 * b.T @ (b / gaps[:, None]))
-            x = vecs[:, -1] + vecs[:, :-1] @ ((b @ move) / gaps)
-            if speculate and mu[-1] - mu[-2] > tol:
-                speculate, kept = False, (best[:], low[:])
-                if certify(lam, mu[-1], mu[-1] - mu[-2], move, x):
-                    return
-                best[:], low[:] = kept
-            elif closes(x):
+            if vecs is None:  # a certified trial: (theta, u) at lam, whose pencil is matrix
+                w = (root * (root @ u)) @ member - np.outer(u, q)  # columns (I - u u^T) S E_j S u
+                lift = np.linalg.solve(theta * np.eye(len(u)) - matrix + np.outer(u, u), w)
+                move = step(lam, q, theta, 2.0 * w.T @ lift)
+                x = u + lift @ move
+            else:
+                z = root @ vecs
+                b = (z[:, :-1] * z[:, -1:]).T @ member
+                gaps = np.maximum(mu[-1] - mu[:-1], eps * mu[-1])
+                move = step(lam, q, top, 2.0 * b.T @ (b / gaps[:, None]))
+                x = vecs[:, -1] + vecs[:, :-1] @ ((b @ move) / gaps)
+            kept = best[:]  # x is the trial's top eigenvector to first order, kept only if it closes the gap
+            visit(x)
+            if gap() <= tol:
                 return
+            best[:] = kept
             for _ in range(9):
-                trial_mu, trial_vecs, trial_q = solve(ahead(lam, move))
-                if trial_mu[-1] < mu[-1]:
+                trial = np.where(lam + move > eps, lam + move, 0.0)
+                trial /= trial.sum()
+                matrix = (root * (member @ trial)) @ root
+                if certified:
+                    bound, theta, u = _certified_top(matrix, x, spread)
+                    certified = top - bound > tol * tol
+                    if certified:
+                        trial_top, vecs, q = bound, None, record(trial, bound, u, eigh=False)
+                        break
+                mu, vecs = np.linalg.eigh(matrix)
+                trial_top, q = mu[-1], record(trial, mu[-1], vecs[:, -1])
+                if trial_top < top:
                     break
                 move /= 2.0
-            if not mu[-1] - trial_mu[-1] > tol * tol:
+            if not top - trial_top > tol * tol:
                 return
-            lam, mu, vecs, q = ahead(lam, move), trial_mu, trial_vecs, trial_q
+            lam, top = trial, trial_top
 
-    newton(np.full(n, 1.0 / n), (g / n, v))  # S S / N = G: its pencil is G's, top value kappa
+    newton(np.full(n, 1.0 / n), g / n, v)  # S S / N = G: its pencil is G's, top value kappa
     if gap() > tol:
-        frame = root @ low[2]
+        top3 = np.linalg.eigh((root * (member @ low[1])) @ root)[1][:, -3:]
+        frame = root @ top3
         height, turn = 1.0 - np.arange(0.5, 64) / 32.0, np.pi * (1.0 + np.sqrt(5.0)) * np.arange(0.5, 64)
         sphere = np.vstack([np.sqrt(1.0 - height ** 2) * np.array([np.cos(turn), np.sin(turn)]), height])
         x = sphere[:, ((frame @ sphere) ** 2).T.dot(member).min(axis=1).argmax()]
@@ -315,7 +307,7 @@ def _inclination_loop(system: SubspaceSystem) -> tuple[float, float]:
             y = frame @ x
             jac = 2.0 * np.vstack([member.T @ (frame * y[:, None]), x])
             x = x - np.linalg.lstsq(jac, np.append((y * y) @ member - low[0], x @ x - 1.0), rcond=None)[0]
-            visit(low[2] @ x)
+            visit(top3 @ x)
     lam, (_, u, z, q) = low[1], best
     for _ in range(_STEP_CAP):
         if gap() <= tol:
@@ -324,7 +316,7 @@ def _inclination_loop(system: SubspaceSystem) -> tuple[float, float]:
         lam /= lam.sum()
         u, z, q = visit(root @ ((member @ lam) * z))
     if gap() > tol:
-        newton(lam)
+        newton(lam, *np.linalg.eigh((root * (member @ lam)) @ root))
     _, u, z, q = best
     for t in range(_STEP_CAP):
         j = q.argmin()
@@ -334,7 +326,7 @@ def _inclination_loop(system: SubspaceSystem) -> tuple[float, float]:
             break
         u, z, q = visit(u + (_STEP_SCALE * gap() / length) * (root @ (member[:, j] * z) - q[j] * u))
     estimate = float(np.sqrt(max(0.0, 1.0 - best[0])))
-    return estimate, min(estimate, float(np.sqrt(max(0.0, 1.0 - low[0]))))  # round-off may cross them
+    return estimate, min(estimate, float(np.sqrt(max(0.0, 1.0 - low[0] - low[2]))))  # round-off may cross them
 
 
 def inclination(system: SubspaceSystem) -> InclinationEstimate:

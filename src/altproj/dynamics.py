@@ -40,6 +40,11 @@ __all__ = [
 ]
 
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer, not a bool: the type of every count, index and seed here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class IndexSchedule:
     """A deterministic stream of projection indices in {1..N}.
@@ -63,8 +68,7 @@ class IndexSchedule:
         if self.kind not in ("cyclic", "random", "explicit"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         window = () if self.coverage_window is None else (self.coverage_window,)
-        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer))
-               for v in (self.n_subspaces, *window, *(self.indices or ()))):
+        if not all(map(_is_integer, (self.n_subspaces, *window, *(self.indices or ())))):
             raise ValueError("n_subspaces, the coverage window and the indices must be integers")
         if self.n_subspaces < 1:
             raise ValueError("n_subspaces must be >= 1")
@@ -75,7 +79,7 @@ class IndexSchedule:
                 raise ValueError("indices must lie in 1..N")
         elif self.indices is not None:
             raise ValueError(f"a {self.kind} schedule takes no index list")
-        if self.kind == "random" and (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))):
+        if self.kind == "random" and not _is_integer(self.seed):
             raise ValueError(f"a random schedule needs an integer seed, got {self.seed!r}")
         if self.kind != "random" and (self.seed, self.coverage_window) != (None, None):
             raise ValueError(f"a {self.kind} schedule takes no seed and no coverage window")
@@ -96,7 +100,7 @@ class IndexSchedule:
 
     def first(self, count: int) -> np.ndarray:
         """The first `count` indices of the stream (1-based values)."""
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        if not _is_integer(count):
             raise ValueError(f"count must be an integer, got {count!r}")
         if count < 0:
             raise ValueError("count must be nonnegative")
@@ -137,8 +141,8 @@ def iterate_vector(system: SubspaceSystem, x0, schedule: IndexSchedule, n_max: i
     the iterate is P_M x0 + R_j a and the error is ||a||; a cyclic pass maps
     a by K W (see `operator_error_norms`), a step from M_i to M_j by R_j^T R_i.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    if not _is_integer(n_max) or n_max < 1:
+        raise ValueError(f"n_max must be >= 1 and an integer, got {n_max!r}")
     if schedule.n_subspaces != system.n_subspaces:
         raise ValueError("schedule and system disagree on the number of subspaces")
     x = np.asarray(x0, dtype=float).reshape(-1)
@@ -241,8 +245,8 @@ def operator_error_norms(system: SubspaceSystem, n_max: int) -> ConvergenceTrace
     and e_n = ||(K W)^(n-1) K||: every step is an r x r product, and the
     trace keeps decaying below the round-off of subtracting P_M in R^d.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    if not _is_integer(n_max) or n_max < 1:
+        raise ValueError(f"n_max must be >= 1 and an integer, got {n_max!r}")
     k, kw = _cyclic_chain(system)
     walk = _power_blocks(kw, k, n_max) if k.size else ()  # K empty: M_1 or M_N is M, so T = P_M and all 0
     return _scaled_trace(walk, lambda block: np.linalg.svd(block, compute_uv=False)[:, 0], n_max)
@@ -327,8 +331,8 @@ class SlowSequence:
         return cls(kind="explicit", explicit_values=tuple(float(v) for v in values))
 
     def values(self, horizon: int) -> np.ndarray:
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        if not _is_integer(horizon) or horizon < 1:
+            raise ValueError(f"horizon must be >= 1 and an integer, got {horizon!r}")
         n = np.arange(1, horizon + 1, dtype=float)
         if self.kind == "power":
             a = (n + 2.0) ** (-self.exponent)

@@ -133,6 +133,17 @@ def grid_dual_inclination(system, steps=40):
     return float(np.sqrt(max(0.0, 1.0 - tops.min())))
 
 
+def extended_rayleigh_quotient(matrix, vector) -> np.longdouble:
+    """v^T A v / v^T v in np.longdouble, not rounded back to a double: a lower bound on lambda_max(A).
+
+    Where longdouble is wider than float64 (80-bit on x86), its rounding lies
+    far below that of float64 eigensolvers, so a double's claim to bound
+    lambda_max from above can be checked against it.
+    """
+    a, v = np.asarray(matrix, dtype=np.longdouble), np.asarray(vector, dtype=np.longdouble)
+    return (v @ a @ v) / (v @ v)
+
+
 def circle_min_modulus(system, resolution=1e-5):
     """Brute-force min of ||(I - T) y|| over unit y orthogonal to M (dim <= 2)."""
     basis = orthogonal_complement(system.intersection).basis

@@ -18,6 +18,7 @@ from altproj.subspace import Subspace, SubspaceSystem
 from cases import (common_core_batch, coordinate_axes, grid_corpus, inclination_corpus, large_pencil_corpus,
                    random_triples_r9)
 from oracles import (
+    extended_rayleigh_quotient,
     full_space,
     gramian_sample,
     grid_dual_inclination,
@@ -393,8 +394,42 @@ class TestInclination:
             assert abs(est.estimate - by_eigh.estimate) <= 1e-12
             assert -1e-11 <= est.dual_lower - by_eigh.dual_lower <= 1e-14
         else:
-            # the failed speculation gives back its points: the eigh trials run as they would have
+            # each of these fails its first certificate, and an eigh takes that trial: the eigh
+            # trials then run as they would have from the start
             assert (est.estimate, est.dual_lower) == (by_eigh.estimate, by_eigh.dual_lower)
+
+    def test_a_failed_certificate_hands_its_trial_to_an_eigh(self, monkeypatch):
+        system = random_system(192, (64, 64, 64), seed=0)
+        monkeypatch.setattr(angles, "_CERTIFIED_ORDER", system.gram.shape[0] + 1)
+        by_eigh = inclination(system)
+        monkeypatch.setattr(angles, "_CERTIFIED_ORDER", system.gram.shape[0])
+        certified_top, calls = angles._certified_top, []
+
+        def fail_second(pencil, x, spread):
+            calls.append(spread)
+            found = certified_top(pencil, x, spread)
+            return (np.inf, *found[1:]) if len(calls) == 2 else found
+
+        monkeypatch.setattr(angles, "_certified_top", fail_second)
+        est, solves, _ = self._spy_inclination(monkeypatch, random_system(192, (64, 64, 64), seed=0))
+        # the eigh of G, then one eigh for the trial whose certificate failed: the first
+        # trial's certified progress is kept, and the gap closes from that eigh's step
+        assert [name for name, _ in solves].count("eigh") == 2 and len(calls) == 2
+        assert abs(est.estimate - by_eigh.estimate) <= 1e-12
+        assert -1e-11 <= est.dual_lower - by_eigh.dual_lower <= 1e-14
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_an_eigh_bound_keeps_its_rounding_margin(self, seed):
+        # eigh's top value can lie below the Rayleigh quotient of its own top vector, so
+        # below the pencil's top eigenvalue (23 of these 40 pencils, by up to 6.5e-16);
+        # the margin the loop's dual_lower adds to it keeps the bound one-sided
+        system = random_system(9, (3, 3, 3), seed=seed)
+        g, v = np.linalg.eigh(system.gram)
+        root = (v * np.sqrt(np.maximum(g, 0.0))) @ v.T
+        weights = np.repeat(np.random.default_rng(seed).dirichlet(np.ones(3)), 3)
+        pencil = (root * weights) @ root
+        mu, vecs = np.linalg.eigh(pencil)
+        assert mu[-1] + angles._eigh_margin(mu[-1], 9) >= extended_rayleigh_quotient(pencil, vecs[:, -1])
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 10, 19])
     def test_a_rank_deficient_gram_keeps_the_estimate_above_l(self, seed):

@@ -6,6 +6,7 @@ import pytest
 from altproj import dynamics
 from altproj.angles import friedrichs_number
 from altproj.corpus import common_core, example3, random_system, tilted_pairs, two_lines
+from altproj.diagnostics import bound_report
 from altproj.dynamics import (
     IndexSchedule,
     SlowSequence,
@@ -219,6 +220,11 @@ class TestIterateVector:
         with pytest.raises(ValueError, match="x0 must be finite"):
             iterate_vector(system, [np.inf, 0.0], IndexSchedule.cyclic(2), 5)
 
+    @pytest.mark.parametrize("n_max", [2.5, True])
+    def test_a_step_count_must_be_an_integer(self, n_max):
+        with pytest.raises(ValueError, match=f"n_max must be >= 1 and an integer, got {n_max!r}"):
+            iterate_vector(two_lines(0.5), [1.0, 0.0], IndexSchedule.cyclic(2), n_max)
+
 
 class TestOperatorErrorNorms:
     @pytest.mark.parametrize("seed", range(8))
@@ -248,6 +254,15 @@ class TestOperatorErrorNorms:
     def test_empty_horizon_rejected(self):
         with pytest.raises(ValueError, match="n_max must be >= 1"):
             operator_error_norms(two_lines(0.5), 0)
+
+    @pytest.mark.parametrize("n_max", [2.5, True])
+    def test_a_horizon_must_be_an_integer(self, n_max):
+        # a ValueError that names the argument, not numpy's TypeError from deep in the walk;
+        # bound_report passes its n_max on to these traces.  Each call gets a fresh system,
+        # as a trace kept under the key 1 would answer for True.
+        for run in (lambda s: operator_error_norms(s, n_max), lambda s: bound_report(s, n_max=n_max)):
+            with pytest.raises(ValueError, match=f"n_max must be >= 1 and an integer, got {n_max!r}"):
+                run(two_lines(0.5))
 
     def test_monotone(self):
         for _, system in convergence_corpus()[:6]:
@@ -511,6 +526,11 @@ class TestSlowSequence:
             SlowSequence.power(0.5).values(0)
         with pytest.raises(ValueError, match="unknown sequence kind 'cubic'"):
             SlowSequence(kind="cubic").values(2)
+
+    @pytest.mark.parametrize("horizon", [2.5, True])
+    def test_a_horizon_must_be_an_integer(self, horizon):
+        with pytest.raises(ValueError, match=f"horizon must be >= 1 and an integer, got {horizon!r}"):
+            SlowSequence.power(0.5).values(horizon)
 
     @pytest.mark.parametrize("fields, message", [
         ({"kind": "cubic"}, "unknown sequence kind 'cubic'"),
