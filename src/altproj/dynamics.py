@@ -1,18 +1,15 @@
 """Alternating-projection dynamics: schedules, iterations and error norms.
 
-Covers vector iterations along cyclic, random or explicit index schedules,
-operator-power error norms ||T^n - P_M|| of the cyclic product
-T = P_N ... P_1, the reduced minimum modulus of I - T, norms of arbitrary
-products of projections, and a finite-horizon slow-convergence probe built
-on block-diagonal families of tilted planes.
-As P_j = P_M + R_j R_j^T for the reduced bases R_j, every route reads the Gram
-blocks R_i^T R_j that the system holds, and a vector iteration reads R_j^T x0
-besides; no route forms a d x d matrix, and the cyclic chain, the power
-traces and gamma(I - T) are computed once per system.  The power traces walk
-the powers of K W in stacks of b = isqrt(n), each (K W)^b times the one before
-(Paterson & Stockmeyer 1973), other orders through chunks of zero-padded Gram blocks.
-Every walk carries a power-of-two exponent, so while one stack decays by less than 2^-500
-a 0.0 in a trace is a true error below 2^-1074.
+Covers vector iterations along cyclic, random or explicit index schedules, operator-power error norms
+||T^n - P_M|| of the cyclic product T = P_N ... P_1, the reduced minimum modulus of I - T, norms of
+arbitrary products of projections, and a finite-horizon slow-convergence probe built on block-diagonal
+families of tilted planes.  As P_j = P_M + R_j R_j^T for the reduced bases R_j, every route reads the
+Gram blocks R_i^T R_j that the system holds, and a vector iteration reads R_j^T x0 besides; no route
+forms a d x d matrix, and the cyclic chain, the power traces and gamma(I - T) are computed once per
+system.  The power traces walk the powers of K W in stacks of b = isqrt(n), each (K W)^b times the one
+before (Paterson & Stockmeyer 1973), other orders through chunks of zero-padded Gram blocks.  Every
+walk carries a power-of-two exponent, so while one stack decays by less than 2^-500 a 0.0 in a trace is
+a true error below 2^-1074.  Low-rank powers take their norms from certified heads.
 """
 
 from __future__ import annotations
@@ -26,6 +23,8 @@ from .angles import friedrichs_number
 from .corpus import tilted_pairs
 from .numerics import NumericalFailure, operator_norm
 from .subspace import SubspaceSystem, _derived
+
+_DEFLATED_ORDER = 8  # column count from which the operator trace may deflate; the routes tie near 6 or 7
 
 __all__ = [
     "ConvergenceTrace",
@@ -241,15 +240,49 @@ def _cyclic_chain(system: SubspaceSystem) -> tuple[np.ndarray, np.ndarray]:
 def operator_error_norms(system: SubspaceSystem, n_max: int) -> ConvergenceTrace:
     """e_n = ||T^n - P_M|| for n = 1..n_max, from the reduced Gram blocks.
 
-    With K the reduced chain of 1..N and W = R_1^T R_N, T - P_M = R_N K R_1^T
-    and e_n = ||(K W)^(n-1) K||: every step is an r x r product, and the
-    trace keeps decaying below the round-off of subtracting P_M in R^d.
+    With K the reduced chain of 1..N and W = R_1^T R_N, T - P_M = R_N K R_1^T and e_n = ||(K W)^(n-1) K||:
+    every step is an r x r product, and the trace keeps decaying below the round-off of subtracting P_M
+    in R^d.  Each norm is a batched SVD's or a certified thin head's (`_top_singular_values`).
     """
     if not _is_integer(n_max) or n_max < 1:
         raise ValueError(f"n_max must be >= 1 and an integer, got {n_max!r}")
     k, kw = _cyclic_chain(system)
     walk = _power_blocks(kw, k, n_max) if k.size else ()  # K empty: M_1 or M_N is M, so T = P_M and all 0
-    return _scaled_trace(walk, lambda block: np.linalg.svd(block, compute_uv=False)[:, 0], n_max)
+    return _scaled_trace(walk, _top_singular_values(k.shape[1]), n_max)
+
+
+def _top_singular_values(order: int):
+    """The `sizes` of the operator trace: the norm of each matrix B, of `order` columns, of a stack.
+
+    For orthonormal [V_1 V_2], ||B V_1||^2 <= ||B||^2 <= ||B V_1||^2 + ||B V_2||_F^2, so a tail ||B V_2||_F^2 of
+    at most eps/4 sigma_1(B V_1)^2 makes sigma_1(B V_1) ||B|| to rounding.  From order _DEFLATED_ORDER up, the last
+    B of a stack of two or more seeds V_1 with the fewest top right singular vectors, at most order/2 and not all,
+    that leave it such a tail; later stacks read the heads B V_1, the SVD of the last head trims V_1, and a stack
+    with a failed tail takes the full SVD.
+    """
+    if order < _DEFLATED_ORDER:
+        return lambda stack: np.linalg.svd(stack, compute_uv=False)[:, 0]
+    basis, quarter = None, 2.0 ** -54  # eps / 4
+
+    def sizes(stack):
+        nonlocal basis
+        if basis is not None:
+            head = stack @ basis
+            s, rest = np.linalg.svd(head, compute_uv=False), head @ basis.T
+            rest -= stack  # B V_1 V_1^T - B = -B V_2 V_2^T
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a 0 or inf ratio fails
+                rest /= s[:, :1, None]
+                tails = np.einsum("ijk,ijk->i", rest, rest)
+        if basis is None or not (tails <= quarter).all():
+            basis, s, head, tails = None, np.linalg.svd(stack, compute_uv=False), stack, (0.0,)
+        if len(s) > 1 and s[-1, min(order // 2, s.shape[1] - 1)] < s[-1, 0] * 2.0 ** -27:  # 2^-27 = sqrt(eps/4)
+            h = np.count_nonzero(np.cumsum(np.square(s[-1, ::-1] / s[-1, 0])) > quarter - tails[-1])
+            if 2 * h <= order:
+                frame = np.linalg.svd(head[-1], full_matrices=False)[2][:h].T
+                basis = frame if basis is None else basis @ frame
+        return s[:, 0]
+
+    return sizes
 
 
 @_derived
@@ -372,12 +405,10 @@ def slow_vector_probe(angles, seq: SlowSequence, horizon: int) -> SlowProbeResul
     result is verified by direct iteration, and `achieved_horizon` reports
     how far the domination actually holds.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    a = seq.values(horizon)
     theta = np.asarray(angles, dtype=float).reshape(-1)
     system = tilted_pairs(len(theta), theta)
     tilted_basis = system.subspaces[1].basis
-    a = seq.values(horizon)
 
     if a.max() <= 0.0:
         x = tilted_basis[:, 0].copy()

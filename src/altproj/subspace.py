@@ -167,20 +167,19 @@ class SubspaceSystem:
 
 
 def _derived(fn):
-    """Compute fn(system, arg) once per system and argument value.
+    """Compute fn(system, arg) once per system and argument.
 
-    The key is the call as made, name and argument values; a positional and
-    a keyword call share it because no derived function takes more than one
-    argument after the system, a rule each new one must keep.  The value is
-    kept in the system's __dict__, with its arrays (or its fields' arrays)
-    read-only.  A miss calls `__wrapped__`, which a test may replace to count
-    derivations.
+    The key is the call as made, name and argument values and types (2.0 and True miss 2 and 1); a positional
+    and a keyword call share it because no derived function takes more than one argument after the system, a
+    rule each new one must keep.  The value is kept in the system's __dict__, with its arrays (or its fields'
+    arrays) read-only.  A miss calls `__wrapped__`, which a test may replace to count derivations.
     """
 
     @wraps(fn)
     def once(system, *args, **kwargs):
         memo = system.__dict__.setdefault("_derived", {})
-        key = (fn.__name__, *args, *kwargs.values())
+        values = (*args, *kwargs.values())
+        key = (fn.__name__, *values, type(values[-1])) if values else fn.__name__  # the one argument's type
         if key not in memo:
             value = once.__wrapped__(system, *args, **kwargs)
             items = value if isinstance(value, tuple) else getattr(value, "__dict__", {}).values()

@@ -289,6 +289,25 @@ POWER_SYSTEMS = {
     "example3": lambda: example3(12),
 }
 POWER_COUNTS = [1, 2, 3, 4, 5, 15, 16, 17, 99, 100, 101, 300]
+# systems whose operator trace deflates: the powers' rank falls below half their column count
+DEFLATED_SYSTEMS = {
+    "dense0": lambda: random_system(192, (64, 64, 64), seed=0),
+    "dense3": lambda: random_system(192, (64, 64, 64), seed=3),
+    "triple60": lambda: random_system(60, (20, 20, 20), seed=0),
+    "uneven150": lambda: random_system(150, (30, 50, 40), seed=0),
+}
+
+
+def svd_calls(monkeypatch):
+    """Record (input shape, compute_uv) of every np.linalg.svd call from here on."""
+    calls, svd = [], np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append((a.shape, kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
 
 
 class TestPowerBlocks:
@@ -302,16 +321,79 @@ class TestPowerBlocks:
             q = projector(r) @ q
         return q
 
+    @classmethod
+    def per_power_norms(cls, system, n_max):
+        q = cls.reduced_product(system)
+        power, norms = q, []
+        for _ in range(n_max):
+            norms.append(operator_norm(power))
+            power = q @ power
+        return norms
+
     @pytest.mark.parametrize("n_max", POWER_COUNTS)
     @pytest.mark.parametrize("name", sorted(POWER_SYSTEMS))
     def test_operator_errors_match_a_per_power_loop(self, name, n_max):
         system = POWER_SYSTEMS[name]()
-        q = self.reduced_product(system)
-        power, expected = q, []
-        for _ in range(n_max):
-            expected.append(operator_norm(power))
-            power = q @ power
+        expected = self.per_power_norms(system, n_max)
         np.testing.assert_allclose(operator_error_norms(system, n_max).errors, expected, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("name", sorted(DEFLATED_SYSTEMS))
+    def test_deflated_operator_errors_match_a_per_power_loop(self, name, monkeypatch):
+        system = DEFLATED_SYSTEMS[name]()
+        expected = self.per_power_norms(system, 100)
+        calls = svd_calls(monkeypatch)
+        errors = operator_error_norms(system, 100).errors
+        assert any(uv and shape[-1] < system.reduced[0].dim for shape, uv in calls)  # a head was trimmed
+        np.testing.assert_allclose(errors, expected, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_deflated_norms_match_the_stacked_svd(self, seed, monkeypatch):
+        deflated = operator_error_norms(random_system(192, (64, 64, 64), seed), 100).errors
+        monkeypatch.setattr(dynamics, "_DEFLATED_ORDER", np.inf)
+        stacked = operator_error_norms(random_system(192, (64, 64, 64), seed), 100).errors
+        np.testing.assert_allclose(deflated, stacked, rtol=4e-15, atol=0)
+
+    @pytest.mark.parametrize("build", [lambda: tilted_pairs(60), lambda: random_system(400, (5, 5, 5), 2),
+                                       lambda: common_core(400, (6, 6, 6), 1, 0)], ids=["tilted60", "thin", "core"])
+    def test_traces_that_do_not_deflate_keep_the_stacked_svd(self, build, monkeypatch):
+        # tilted_pairs(60) keeps rank >= 58 of 60; the thin systems have 5 columns
+        system, fresh = build(), build()
+        dynamics._cyclic_chain(system)
+        calls = svd_calls(monkeypatch)
+        routed = operator_error_norms(system, 300).errors
+        assert all(not uv for _, uv in calls)
+        monkeypatch.setattr(dynamics, "_DEFLATED_ORDER", np.inf)
+        np.testing.assert_array_equal(operator_error_norms(fresh, 300).errors, routed)
+
+    def test_failed_tail_tests_give_the_stacked_svd(self, monkeypatch):
+        system, fresh = random_system(192, (64, 64, 64), 0), random_system(192, (64, 64, 64), 0)
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "_DEFLATED_ORDER", np.inf)
+            stacked = operator_error_norms(fresh, 100).errors
+        dynamics._cyclic_chain(system)
+        einsum = np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *args: np.full(einsum(*args).shape, np.inf))  # every tail fails
+        calls = svd_calls(monkeypatch)
+        np.testing.assert_array_equal(operator_error_norms(system, 100).errors, stacked)
+        # each of the 10 stacks takes the batched SVD, and each of the 9 after the first tried its heads first
+        assert calls.count(((10, 64, 64), False)) == 10
+        assert sum(not uv and shape[-1] < 64 for shape, uv in calls) == 9
+
+    def test_a_single_power_takes_one_svd(self, monkeypatch):
+        # K has rank 5 of 40 columns, but no later stack would read a basis seeded from it
+        system = random_system(120, (40, 5, 40), seed=0)
+        dynamics._cyclic_chain(system)
+        calls = svd_calls(monkeypatch)
+        operator_error_norms(system, 1)
+        assert calls == [((1, 40, 40), False)]
+
+    def test_only_the_first_stack_and_the_seed_see_full_order(self, monkeypatch):
+        system = random_system(192, (64, 64, 64), seed=0)
+        dynamics._cyclic_chain(system)
+        calls = svd_calls(monkeypatch)
+        operator_error_norms(system, 100)
+        assert [call for call in calls if call[0][-2:] == (64, 64)] == [((10, 64, 64), False), ((64, 64), True)]
+        assert len(calls) > 2
 
     @pytest.mark.parametrize("n_max", POWER_COUNTS)
     @pytest.mark.parametrize("name", sorted(POWER_SYSTEMS))
@@ -358,11 +440,15 @@ class TestPowerBlocks:
         operator_error_norms(system, 5)
         assert calls == [2]
 
-    def test_only_one_block_of_powers_is_held(self):
-        # a full (n_max, r, r) stack of the 400 powers of a 60 x 60 chain is 11.5 MB
-        system = tilted_pairs(60)
+    @pytest.mark.parametrize("build", [lambda: tilted_pairs(60), lambda: random_system(120, (40, 40, 40), 0)],
+                             ids=["tilted60", "deflated120"])
+    def test_only_one_block_of_powers_is_held(self, build):
+        # a full (n_max, r, r) stack of the 400 powers of a 60 x 60 chain is 11.5 MB; the
+        # 40 x 40 chain deflates, and its heads, tails and basis add at most one stack of b = 20
+        system = build()
+        r = system.reduced[0].dim
         operator_error_norms(system, 1)  # the chain K, K W is derived once, outside the window
-        full_stack = 400 * 60 * 60 * 8
+        full_stack = 400 * r * r * 8
         tracemalloc.start()
         try:
             operator_error_norms(system, 400)
@@ -370,6 +456,7 @@ class TestPowerBlocks:
         finally:
             tracemalloc.stop()
         assert peak < full_stack / 4
+        assert peak < 3 * full_stack / 20  # the walk's old and new stack in a giant step, and one more
 
 
 TINY = 2.0 ** -1074  # the smallest subnormal: only a true error below it may read 0.0

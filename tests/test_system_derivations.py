@@ -181,6 +181,18 @@ def test_derived_functions_take_at_most_one_argument_after_the_system():
         assert len(inspect.signature(fn).parameters) <= 2, fn.__name__
 
 
+def test_the_memo_keys_each_argument_by_its_type():
+    # 2.0 and True equal 2 and 1, and hash alike, but are no integer counts
+    system = two_lines(0.5)
+    operator_error_norms(system, 2)
+    operator_error_norms(system, 1)
+    with pytest.raises(ValueError):
+        operator_error_norms(system, 2.0)
+    with pytest.raises(ValueError):
+        operator_error_norms(system, True)
+    assert operator_error_norms(system, 1) is operator_error_norms(system, n_max=1)
+
+
 def test_keyword_and_positional_calls_share_one_entry():
     system = random_system(9, (3, 3, 3), seed=2)
     by_keyword = operator_error_norms(system, n_max=3)
