@@ -146,13 +146,16 @@ def pairwise_dixmier_reduced(system: SubspaceSystem) -> np.ndarray:
     Entry (i, j) is the cosine of the minimal angle between the reduced
     subspaces i and j, the top singular value of the Gram block R_i^T R_j
     (0 when a block is empty).  The diagonal is 1 for nonzero reduced
-    subspaces and 0 otherwise.
+    subspaces and 0 otherwise.  The blocks of each shape take one batched SVD.
     """
     n, blocks, check_tol = system.n_subspaces, system.gram_blocks, system.tol.check_tol
-    table = np.diag([1.0 if r.dim else 0.0 for r in system.reduced])
+    table, shapes = np.diag([1.0 if r.dim else 0.0 for r in system.reduced]), {}
     for i in range(n):
         for j in range(i + 1, n):
-            top = np.linalg.svd(blocks[i][j], compute_uv=False).max(initial=0.0)
+            shapes.setdefault(blocks[i][j].shape, []).append((i, j))
+    for pairs in shapes.values():
+        tops = np.linalg.svd(np.array([blocks[i][j] for i, j in pairs]), compute_uv=False).max(-1, initial=0.0)
+        for (i, j), top in zip(pairs, tops.tolist()):
             table[i, j] = table[j, i] = _checked_range(top, 0.0, 1.0, check_tol, "Friedrichs cosine")
     return table
 

@@ -6,10 +6,10 @@ arbitrary products of projections, and a finite-horizon slow-convergence probe b
 families of tilted planes.  As P_j = P_M + R_j R_j^T for the reduced bases R_j, every route reads the
 Gram blocks R_i^T R_j that the system holds, and a vector iteration reads R_j^T x0 besides; no route
 forms a d x d matrix, and the cyclic chain, the power traces and gamma(I - T) are computed once per
-system.  The power traces walk the powers of K W in stacks of b = isqrt(n), each (K W)^b times the one
-before (Paterson & Stockmeyer 1973), other orders through chunks of zero-padded Gram blocks.  Every
-walk carries a power-of-two exponent, so while one stack decays by less than 2^-500 a 0.0 in a trace is
-a true error below 2^-1074.  Low-rank powers take their norms from certified heads.
+system.  The power traces walk the powers of K W in stacks of b = isqrt(n), each (K W)^b times the one before
+(Paterson & Stockmeyer 1973), other orders in 32-step chunks of zero-padded Gram blocks, small ones by prefix
+products (Hillis & Steele 1986).  Every walk carries a power-of-two exponent, so while one stack decays by less than
+2^-500 a 0.0 in a trace is a true error below 2^-1074.  Low-rank powers take their norms from certified heads.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .numerics import NumericalFailure, operator_norm
 from .subspace import SubspaceSystem, _derived
 
 _DEFLATED_ORDER = 8  # column count from which the operator trace may deflate; the routes tie near 6 or 7
+_SCANNED_ORDER = 8  # block order up to which random and explicit walks scan prefix products; the routes tie at 9-10
 
 __all__ = [
     "ConvergenceTrace",
@@ -155,8 +156,7 @@ def iterate_vector(system: SubspaceSystem, x0, schedule: IndexSchedule, n_max: i
         k, kw = _cyclic_chain(system)
         walk = _power_blocks(kw, (k @ (system.reduced[0].basis.T @ x))[:, None], n_max)
     else:
-        idx = (schedule.first(n_max) - 1).tolist()
-        walk = _gram_chunks(system, idx, system.reduced[idx[0]].basis.T @ x)
+        walk = _gram_chunks(system, schedule.first(n_max) - 1, x)
     return _scaled_trace(walk, lambda rows: np.linalg.norm(rows[..., 0], axis=-1), n_max, exp)
 
 
@@ -199,21 +199,37 @@ def _power_blocks(kw: np.ndarray, first: np.ndarray, n_max: int):
             yield block
 
 
-def _gram_chunks(system: SubspaceSystem, idx: list[int], first: np.ndarray):
-    """Yield the reduced errors of the steps onto M_(idx[t]+1), 32 a chunk, each one np.dot with a Gram block."""
+def _gram_chunks(system: SubspaceSystem, idx: np.ndarray, x: np.ndarray):
+    """Yield the reduced errors of x's steps onto M_(idx[t]+1), 32 a chunk, from zero-padded Gram blocks.
+
+    Up to block order _SCANNED_ORDER each span of 8 chunks gathers its step blocks in one index and forms every
+    chunk's prefix products in five rounds (Hillis & Steele 1986): a chunk is one product with the row before it.
+    """
     n, m = system.n_subspaces, max(r.dim for r in system.reduced)
     padded = np.zeros((n, n, m, m))
     for i, row in enumerate(system.gram_blocks):
         for j, block in enumerate(row):
             padded[i, j, :block.shape[0], :block.shape[1]] = block
-    blocks = [list(row) for row in padded]
     chunk = np.zeros((32, m, 1))
-    chunk[0, :len(first), 0] = first
-    rows = list(chunk)
-    for start in range(0, len(idx), 32):
-        for t in range(start == 0, min(32, len(idx) - start)):  # row 0 of chunk 0 is the first error
-            np.dot(blocks[idx[start + t]][idx[start + t - 1]], rows[t - 1], out=rows[t])
-        yield chunk[:len(idx) - start]
+    first = system.reduced[idx[0]].basis.T @ x
+    chunk[[0, -1], :len(first), 0] = first  # row 0 of chunk 0 is the first error, and the row before it
+    if m > _SCANNED_ORDER:  # each step one np.dot with a Gram block
+        blocks, rows, idx = [list(row) for row in padded], list(chunk), idx.tolist()
+        for start in range(0, len(idx), 32):
+            for t in range(start == 0, min(32, len(idx) - start)):
+                np.dot(blocks[idx[start + t]][idx[start + t - 1]], rows[t - 1], out=rows[t])
+            yield chunk[:len(idx) - start]
+        return
+    for start in range(0, len(idx), 256):
+        step = idx[start:start + 256]
+        step = np.append(step, step[-1:].repeat(-len(step) % 32))  # whole chunks: the padding stays on one M_j
+        span = padded[step, np.append(idx[max(start - 1, 0)], step[:-1])].reshape(len(step) // 32, 32, m, m)
+        if start == 0:
+            span[0, 0] = np.eye(m)  # step 0 keeps the first error
+        for shift in (1, 2, 4, 8, 16):
+            span[:, shift:] = span[:, shift:] @ span[:, :-shift]
+        for offset, products in zip(range(start, len(idx), 32), span):
+            yield np.matmul(products, chunk[-1], out=chunk)[:len(idx) - offset]  # chunk[-1] as _scaled_trace left it
 
 
 def _reduced_chain(system: SubspaceSystem, indices) -> np.ndarray:
@@ -295,27 +311,25 @@ def reduced_min_modulus(system: SubspaceSystem) -> float:
     on the plane of each pair of principal vectors (cosine c, sine s) and the
     identity off them; its smallest singular value s^2 / sigma_max decreases
     in c, so gamma is that value at the Friedrichs number c.  Otherwise
-    T - P_M = R_N K R_1^T maps the span of E = [R_1 R_N] into itself and
-    vanishes on the rest of M^perp.  One eigh of the Gram matrix of E, four
-    Gram blocks, gives E^T E = V L V^T, and C = L^(1/2) V^T (L clipped at 0)
-    has C^T C = E^T E: its rows with L > 0 are the coordinates of E in an
-    orthonormal basis of that span, where T - P_M acts as C_N K C_1^T for the
-    columns C_1, C_N of C.  So the value is sigma_min(I - C_N K C_1^T), as rows
-    with L = 0 only add singular values 1, capped at 1, which gamma never
-    exceeds: T y = 0 for any unit y orthogonal to the first M_j that is not
-    the whole space.
+    T - P_M = R_N K R_1^T maps the span of [R_1 R_N] into itself and vanishes
+    on the rest of M^perp.  With B = R_1^T R_N, one eigh of order dim R_N,
+    R_N^T R_N - B^T B = V L V^T, gives Y = L^(1/2) V^T (L clipped at 0), and
+    R_N has coordinates [B; Y] in an orthonormal basis of that span that starts
+    with R_1, where T - P_M acts as [[B K, 0], [Y K, 0]].  So the value is the
+    smallest singular value of I minus that matrix, as rows of Y with L = 0
+    only add singular values 1, capped at 1, which gamma never exceeds: T y = 0
+    for any unit y orthogonal to the first M_j that is not the whole space.
     """
     if system.intersection.dim == system.ambient_dim:
         raise ValueError("modulus undefined: the intersection is the whole space")
     if system.n_subspaces == 2:
         c = friedrichs_number(system)
         return float((1.0 - c * c) / np.sqrt((2.0 - c * c + c * np.sqrt(4.0 - 3.0 * c * c)) / 2.0))
-    blocks, r1 = system.gram_blocks, system.reduced[0].dim
-    lam, v = np.linalg.eigh(np.block([[blocks[0][0], blocks[0][-1]], [blocks[-1][0], blocks[-1][-1]]]))
-    c = np.sqrt(np.maximum(lam, 0.0))[:, None] * v.T
-    k, _ = _cyclic_chain(system)
-    t = c[:, r1:] @ k @ c[:, :r1].T
-    return float(np.linalg.svd(np.eye(len(c)) - t, compute_uv=False).min(initial=1.0))
+    b, k = system.gram_blocks[0][-1], _cyclic_chain(system)[0]
+    lam, v = np.linalg.eigh(system.gram_blocks[-1][-1] - b.T @ b)
+    t = np.eye(len(b) + len(lam))
+    t[:, :len(b)] -= np.vstack((b, np.sqrt(np.maximum(lam, 0.0))[:, None] * v.T)) @ k
+    return float(np.linalg.svd(t, compute_uv=False).min(initial=1.0))
 
 
 def random_product_norm(system: SubspaceSystem, indices) -> float:

@@ -422,7 +422,9 @@ class TestPowerBlocks:
     def test_subspaces_equal_to_the_intersection_give_zero_traces(self):
         system = SubspaceSystem((line([1.0, 0.0]), line([1.0, 0.0])))
         assert operator_error_norms(system, 7).errors.tolist() == [0.0] * 7
-        assert iterate_vector(system, [3.0, 4.0], IndexSchedule.cyclic(2), 7).errors.tolist() == [0.0] * 7
+        for schedule in (IndexSchedule.cyclic(2), IndexSchedule.random(2, seed=0),
+                         IndexSchedule.explicit([2, 1, 1, 2, 1, 2, 2], 2)):
+            assert iterate_vector(system, [3.0, 4.0], schedule, 7).errors.tolist() == [0.0] * 7
 
     def test_one_power_forms_no_giant_step(self, monkeypatch):
         calls = []
@@ -507,8 +509,10 @@ class TestScaledWalks:
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_no_step_turns_subnormal(self, seed):
-        # only the final conversion of an error below 2^-1022 may underflow
-        for system in (random_system(192, (64, 64, 64), seed=seed), random_system(400, (5, 5, 5), seed=2)):
+        # only the final conversion of an error below 2^-1022 may underflow; the desk-size system's
+        # random walk forms the prefix products of its steps, and the dense one steps by np.dot
+        for system in (random_system(192, (64, 64, 64), seed=seed), random_system(400, (5, 5, 5), seed=2),
+                       common_core(8, (3, 4, 3), 1, seed=7)):
             x0 = np.random.default_rng(seed).standard_normal(system.ambient_dim)
             with np.errstate(under="raise"):
                 iterate_vector(system, x0, IndexSchedule.cyclic(3), 1000)
@@ -529,18 +533,46 @@ class TestScaledWalks:
         assert 0 < first_zero < 150 and not errors[first_zero:].any()
         assert stacks == [31] * (first_zero // 31 + 1)  # the stack holding the first 0.0 is the last
 
-    def test_random_walk_holds_no_row_per_step(self):
-        system = tilted_pairs(60)  # 60 reduced coordinates a step, decaying slowly enough to run to the end
+    @pytest.mark.parametrize("build, words", [(lambda: tilted_pairs(60), 15),
+                                              (lambda: tilted_pairs(3, (0.01, 0.02, 0.03)), 8)],
+                             ids=["stepped60", "scanned3"])
+    def test_random_walk_holds_no_row_per_step(self, build, words):
+        # both decay slowly enough to run to the end; the trace's own arrays (errors, exponents,
+        # steps, the index stream) take 5 to 6 words a step, and one row per step would add
+        # 60 words (48 MB) or 3, the prefix products of every step at once 9
+        system = build()
+        d = system.ambient_dim
         schedule = IndexSchedule.random(2, seed=0)
-        iterate_vector(system, np.ones(120), schedule, 1)  # R^T R is derived once, outside the window
+        iterate_vector(system, np.ones(d), schedule, 1)  # R^T R is derived once, outside the window
         tracemalloc.start()
         try:
-            errors = iterate_vector(system, np.ones(120), schedule, 10**5).errors
+            errors = iterate_vector(system, np.ones(d), schedule, 10**5).errors
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert errors[-1] > 0.0
-        assert peak < 10**5 * 60 * 8 / 4  # one row per step would be 48 MB
+        assert peak < 10**5 * words * 8
+
+    @pytest.mark.parametrize("order", [1, dynamics._SCANNED_ORDER, dynamics._SCANNED_ORDER + 1])
+    def test_random_and_explicit_walks_match_the_scaled_walk(self, order):
+        # blocks of order up to the crossover scan prefix products, larger ones step by np.dot;
+        # 1000 and 700 steps end inside a chunk and inside a span of 256
+        system = random_system(max(4 * order, 6), (order,) * 3, seed=0)
+        x0 = np.random.default_rng(0).standard_normal(system.ambient_dim)
+        schedules = [(IndexSchedule.random(3, seed=5, coverage_window=w), 1000) for w in (None, 3, 5)]
+        schedules.append((IndexSchedule.explicit(IndexSchedule.random(3, seed=6).first(700), 3), 700))
+        for schedule, n_max in schedules:
+            self.agree(iterate_vector(system, x0, schedule, n_max).errors, scaled_walk(system, x0, schedule, n_max))
+
+    def test_only_orders_above_the_crossover_step_by_np_dot(self, monkeypatch):
+        calls, dot = [], np.dot
+        monkeypatch.setattr(np, "dot", lambda *args, **kwargs: calls.append(args[0].shape) or dot(*args, **kwargs))
+        for order, steps in ((dynamics._SCANNED_ORDER, 0), (dynamics._SCANNED_ORDER + 1, 999)):
+            system = random_system(4 * order, (order,) * 3, seed=0)
+            calls.clear()
+            errors = iterate_vector(system, np.ones(4 * order), IndexSchedule.random(3, seed=5), 1000).errors
+            assert errors[-1] > 0.0
+            assert calls == [(order, order)] * steps  # one per step after the first
 
 
 class TestReducedMinModulus:

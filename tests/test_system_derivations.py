@@ -99,7 +99,7 @@ def test_reports_derive_each_quantity_once(monkeypatch):
 
     # one eigh of the unweighted Gram matrix of the stacked reduced bases gives
     # kappa, S = G^(1/2) and the uniform dual start; the inclination's Newton
-    # steps solve weighted pencils, and gamma a block Gram of [R_1 R_N]
+    # steps solve weighted pencils, and gamma R_N^T R_N - B^T B for B = R_1^T R_N
     stacked = np.hstack([r.basis for r in system.reduced])
     assert sum(np.array_equal(a, stacked.T @ stacked) for a in solves["eigh"]) == 1
     assert solves["eigvalsh"] == []
