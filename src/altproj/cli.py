@@ -8,6 +8,12 @@ Subcommands:
 * ``bounds``     margins of every applicable convergence bound, as JSON
 * ``probe-slow`` finite-horizon slow-convergence construction
 
+Each JSON report is the library's report dataclass (`AngleReport`,
+`BoundReport` with its `BoundCheck` entries, `SlowProbeResult`), one key per
+field, named as the field but for the two that _KEYS renames.  Per-iteration
+arrays stay out: a probe's trace, and a bound check's `measured` and `bound`
+unless scalar, when they come last; so does an unset `max_abs_deviation`, and
+a bound report puts `degenerate` first.  `--trace` writes curves as CSV.
 All commands are deterministic given their flags.  Exit codes: 0 success or
 informative outcome, 1 usage error (bad flags or malformed input, including
 a count above MAX_COUNT or an ambient dimension above MAX_DIM), 2 numerical failure.
@@ -25,14 +31,15 @@ import numpy as np
 from .angles import angle_report
 from .corpus import common_core, example3, random_system, tilted_pairs, two_lines
 from .diagnostics import bound_report
-from .dynamics import IndexSchedule, SlowSequence, iterate_vector, slow_vector_probe
-from .numerics import NumericalFailure
+from .dynamics import ConvergenceTrace, IndexSchedule, SlowSequence, iterate_vector, slow_vector_probe
+from .numerics import NumericalFailure, _is_integer
 from .subspace import Subspace, SubspaceSystem
 
 __all__ = ["main", "load_system", "dump_system"]
 
 MAX_DIM = 2**14  # largest "dim" of a system file, a sanity bound: no command forms a d x d matrix
 MAX_COUNT = 10**7  # largest --iters or --horizon, a sanity bound: 80 MB of float64 errors
+_KEYS = {"pairwise_dixmier_reduced": "pairwise", "prefix_friedrichs": "prefix"}  # report field -> JSON key
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,14 +73,13 @@ def load_system(text: str) -> SubspaceSystem:
         raise ValueError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict) or "dim" not in doc or "subspaces" not in doc:
         raise ValueError('system file needs "dim" and "subspaces" keys')
-    dim = doc["dim"]
-    if isinstance(dim, bool) or not isinstance(dim, int):
+    dim, entries = doc["dim"], doc["subspaces"]
+    if not _is_integer(dim):
         raise ValueError('"dim" must be an integer')
     if not 1 <= dim <= MAX_DIM:
         raise ValueError(f"dim must lie in 1..{MAX_DIM}, got {dim}")
-    entries = doc["subspaces"]
-    if not isinstance(entries, list) or len(entries) < 2:
-        raise ValueError("system file needs at least two subspaces")
+    if not isinstance(entries, list):
+        raise ValueError('"subspaces" must be a list of objects')
     subs = []
     for entry in entries:
         if not isinstance(entry, dict):
@@ -81,12 +87,9 @@ def load_system(text: str) -> SubspaceSystem:
         vectors = entry.get("vectors", [])
         if not isinstance(vectors, list):
             raise ValueError('"vectors" must be a list of vector rows')
-        for row in vectors:
-            if not isinstance(row, list) or not all(
-                    isinstance(x, (int, float)) and not isinstance(x, bool) for x in row):
-                raise ValueError("every vector row must be a list of numbers")
-            if len(row) != dim:
-                raise ValueError("every vector row must have length dim")
+        if not all(isinstance(row, list) and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                                                 for x in row) for row in vectors):
+            raise ValueError("every vector row must be a list of numbers")
         subs.append(Subspace.from_vectors(vectors, ambient_dim=dim, name=str(entry.get("name", ""))))
     return SubspaceSystem(tuple(subs))
 
@@ -104,13 +107,28 @@ def _write_output(text: str, path: str | None) -> None:
             handle.write(text + "\n")
 
 
-def _write_trace(path: str | None, steps, measured, bounds: dict) -> None:
-    header = ["n", "measured", *bounds.keys()]
-    lines = [",".join(header)]
-    columns = [np.asarray(measured, dtype=float)] + [np.asarray(v, dtype=float) for v in bounds.values()]
-    for i, n in enumerate(steps):
-        row = [str(int(n))] + [repr(float(col[i])) for col in columns]
-        lines.append(",".join(row))
+def _write_json(report, path: str | None) -> None:
+    """Write a report dataclass as JSON, one key per field by the rule of the module docstring."""
+
+    def plain(value):  # json.dumps' hook for what it cannot write: numpy values and dataclasses
+        if not dataclasses.is_dataclass(value):
+            return value.tolist()
+        doc = {_KEYS.get(f.name, f.name): getattr(value, f.name) for f in dataclasses.fields(value)
+               if f.name != "trace"}
+        if "measured" in doc:  # a bound check: its curves come last if scalar, its deviation only if set
+            curves = {key: doc.pop(key) for key in ("measured", "bound")}
+            if doc["max_abs_deviation"] is None:
+                del doc["max_abs_deviation"]
+            doc.update(curves if np.ndim(curves["measured"]) == 0 else {})
+        return {"degenerate": doc.pop("degenerate"), **doc} if "entries" in doc else doc
+
+    _write_output(json.dumps(report, indent=2, default=plain), path)
+
+
+def _write_trace(path: str | None, trace: ConvergenceTrace) -> None:
+    columns = [trace.errors, *trace.bounds.values()]
+    lines = [",".join(["n", "measured", *trace.bounds])]
+    lines += [",".join([str(int(n)), *(repr(float(col[i])) for col in columns)]) for i, n in enumerate(trace.steps)]
     _write_output("\n".join(lines), path)
 
 
@@ -144,19 +162,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_angles(args) -> int:
-    system = _read_system(args.system)
-    report = angle_report(system)
-    payload = {
-        "c0": report.c0,
-        "c": report.c,
-        "kappa0": report.kappa0,
-        "kappa": report.kappa,
-        "pairwise": [[float(v) for v in row] for row in report.pairwise_dixmier_reduced],
-        "prefix": [float(v) for v in report.prefix_friedrichs],
-        "inclination": None if report.inclination is None else dataclasses.asdict(report.inclination),
-        "degenerate": report.degenerate,
-    }
-    _write_output(json.dumps(payload, indent=2), args.output)
+    _write_json(angle_report(_read_system(args.system)), args.output)
     return 0
 
 
@@ -166,52 +172,30 @@ def _cmd_iterate(args) -> int:
     if args.indices is not None and args.order != "explicit":
         raise ValueError("--indices needs --order explicit")
     system = _read_system(args.system)
-    n = system.n_subspaces
-    if args.order == "cyclic":
-        schedule = IndexSchedule.cyclic(n)
-    elif args.order == "random":
-        schedule = IndexSchedule.random(n, seed=args.seed, coverage_window=args.coverage_window)
-    else:
-        if not args.indices:
-            raise ValueError("explicit order needs --indices")
-        schedule = IndexSchedule.explicit(_parse_int_list(args.indices, "--indices"), n)
+    if args.order == "explicit" and not args.indices:
+        raise ValueError("explicit order needs --indices")
+    schedule = IndexSchedule(kind=args.order, n_subspaces=system.n_subspaces,
+                             seed=args.seed if args.order == "random" else None,
+                             coverage_window=args.coverage_window,
+                             indices=args.indices and _parse_int_list(args.indices, "--indices"))
     if args.x0 == "random":
-        rng = np.random.default_rng(args.seed)
-        x0 = rng.standard_normal(system.ambient_dim)
+        x0 = np.random.default_rng(args.seed).standard_normal(system.ambient_dim)
     else:
         x0 = np.array([float(part) for part in args.x0.split(",")])
         if x0.shape[0] != system.ambient_dim:
             raise ValueError("--x0 coordinates must match the ambient dimension")
-    trace = iterate_vector(system, x0, schedule, args.iters)
-    _write_trace(args.trace, trace.steps, trace.errors, trace.bounds)
+    _write_trace(args.trace, iterate_vector(system, x0, schedule, args.iters))
     return 0
 
 
 def _cmd_bounds(args) -> int:
-    system = _read_system(args.system)
-    report = bound_report(system, n_max=args.iters)
-    entries = []
-    for check in report.entries:
-        entry = {
-            "name": check.name,
-            "margin": check.margin,
-            "satisfied": check.satisfied,
-            "note": check.note,
-        }
-        if check.max_abs_deviation is not None:
-            entry["max_abs_deviation"] = check.max_abs_deviation
-        if np.ndim(check.measured) == 0:
-            entry["measured"] = float(check.measured)
-            entry["bound"] = float(check.bound)
-        entries.append(entry)
-    payload = {"degenerate": report.degenerate, "entries": entries}
-    _write_output(json.dumps(payload, indent=2), args.output)
+    report = bound_report(_read_system(args.system), n_max=args.iters)
+    _write_json(report, args.output)
     if args.trace:
         # corMain (absent on degenerate systems) and DeHu share the trace ||T^n - P_M||, n = 1..iters
         curves = [check for check in report.entries if check.name in ("corMain", "DeHu")]
-        measured = curves[0].measured
-        _write_trace(args.trace, range(1, len(measured) + 1), measured,
-                     {check.name: check.bound for check in curves})
+        _write_trace(args.trace, ConvergenceTrace(np.arange(1, len(curves[0].measured) + 1), curves[0].measured,
+                                                  {check.name: check.bound for check in curves}))
     return 0
 
 
@@ -227,16 +211,10 @@ def _cmd_probe_slow(args) -> int:
             seq = SlowSequence.explicit([float(tok) for tok in handle.read().split()])
     else:
         raise ValueError(f"unknown --seq form {args.seq!r}; use pow:<p>, log or file:<path>")
-    angles = 1.0 / np.arange(1, args.k + 1)
-    result = slow_vector_probe(angles, seq, args.horizon)
-    payload = {
-        "x": [float(v) for v in result.x],
-        "success": result.success,
-        "achieved_horizon": result.achieved_horizon,
-    }
-    _write_output(json.dumps(payload, indent=2), args.output)
+    result = slow_vector_probe(1.0 / np.arange(1, args.k + 1), seq, args.horizon)
+    _write_json(result, args.output)
     if args.trace:
-        _write_trace(args.trace, result.trace.steps, result.trace.errors, result.trace.bounds)
+        _write_trace(args.trace, result.trace)
     return 0
 
 

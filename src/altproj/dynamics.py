@@ -8,8 +8,8 @@ Gram blocks R_i^T R_j that the system holds, and a vector iteration reads R_j^T 
 forms a d x d matrix, and the cyclic chain, the power traces and gamma(I - T) are computed once per
 system.  The power traces walk the powers of K W in stacks of b = isqrt(n), each (K W)^b times the one before
 (Paterson & Stockmeyer 1973), other orders in 32-step chunks of zero-padded Gram blocks, small ones by prefix
-products (Hillis & Steele 1986).  Every walk carries a power-of-two exponent, so while one stack decays by less than
-2^-500 a 0.0 in a trace is a true error below 2^-1074.  Low-rank powers take their norms from certified heads.
+products (Hillis & Steele 1986).  Every walk carries a power-of-two exponent, so unless a stack decays into the
+subnormals by itself a 0.0 in a trace is a true error below 2^-1074.  Low-rank powers read norms from certified heads.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .angles import friedrichs_number
 from .corpus import tilted_pairs
-from .numerics import NumericalFailure, operator_norm
+from .numerics import NumericalFailure, _is_integer, operator_norm
 from .subspace import SubspaceSystem, _derived
 
 _DEFLATED_ORDER = 8  # column count from which the operator trace may deflate; the routes tie near 6 or 7
@@ -38,11 +38,6 @@ __all__ = [
     "reduced_min_modulus",
     "slow_vector_probe",
 ]
-
-
-def _is_integer(value) -> bool:
-    """An int or a numpy integer, not a bool: the type of every count, index and seed here."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -157,7 +152,20 @@ def iterate_vector(system: SubspaceSystem, x0, schedule: IndexSchedule, n_max: i
         walk = _power_blocks(kw, (k @ (system.reduced[0].basis.T @ x))[:, None], n_max)
     else:
         walk = _gram_chunks(system, schedule.first(n_max) - 1, x)
-    return _scaled_trace(walk, lambda rows: np.linalg.norm(rows[..., 0], axis=-1), n_max, exp)
+    return _scaled_trace(walk, _row_norms, n_max, exp)
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """The `sizes` of a vector walk: the norm of each reduced error in a stack of them.
+
+    Squares of entries below 2^-537 underflow, so a stack whose last norm, its smallest, is below 2^-450 takes
+    each norm again from its row shifted by the exact power of two that puts the row's top entry in [1/2, 1).
+    """
+    norms = np.linalg.norm(rows[..., 0], axis=-1)
+    if norms[-1] < 2.0 ** -450:
+        exps = np.frexp(np.abs(rows[..., 0]).max(axis=-1, initial=0.0))[1]
+        norms = np.ldexp(np.linalg.norm(np.ldexp(rows[..., 0], -exps[:, None]), axis=-1), exps)
+    return norms
 
 
 def _scaled_trace(walk, sizes, n_max: int, exp: int = 0) -> ConvergenceTrace:

@@ -47,6 +47,11 @@ class TolerancePolicy:
 DEFAULT_TOL = TolerancePolicy()
 
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer, not a bool: the type of every count, index, dimension and seed."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce to a 2-D float64 array and reject non-finite entries."""
     m = np.asarray(a, dtype=float)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import subprocess
@@ -13,6 +14,7 @@ from altproj import cli
 from altproj.angles import angle_report
 from altproj.cli import dump_system, load_system
 from altproj.corpus import example3, two_lines
+from altproj.diagnostics import bound_report
 from altproj.numerics import NumericalFailure
 
 
@@ -358,6 +360,33 @@ class TestBounds:
         payload = json.loads(run_cli("bounds", str(path), "--iters", "60").stdout)
         assert all(e["satisfied"] for e in payload["entries"])
         assert not payload["degenerate"]
+
+
+class TestReportDocuments:
+    def test_each_key_is_a_report_field(self, tmp_path, capsys):
+        # two fields are renamed; array-valued checks go to --trace, and an unset deviation stays out
+        path = tmp_path / "sys.json"
+        path.write_text(dump_system(two_lines(0.5)))
+        assert cli.main(["angles", str(path)]) == 0
+        renamed = {"pairwise_dixmier_reduced": "pairwise", "prefix_friedrichs": "prefix"}
+        report = angle_report(two_lines(0.5))
+        assert list(json.loads(capsys.readouterr().out)) == [renamed.get(f.name, f.name)
+                                                             for f in dataclasses.fields(report)]
+        assert cli.main(["bounds", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == ["degenerate", "entries"]
+        for entry, check in zip(payload["entries"], bound_report(two_lines(0.5)).entries, strict=True):
+            keys = [f.name for f in dataclasses.fields(check) if f.name not in ("measured", "bound")]
+            if check.max_abs_deviation is None:
+                keys.remove("max_abs_deviation")
+            if np.ndim(check.measured) == 0:
+                keys += ["measured", "bound"]
+            assert list(entry) == keys
+            assert entry == {key: getattr(check, key) for key in keys}
+
+    def test_probe_document_leaves_its_trace_to_the_csv(self, capsys):
+        assert cli.main(["probe-slow", "--k", "3", "--horizon", "5"]) == 0
+        assert list(json.loads(capsys.readouterr().out)) == ["x", "success", "achieved_horizon"]
 
 
 class TestProbeSlow:

@@ -128,3 +128,32 @@ class TestCommonCore:
         with pytest.raises(ValueError, match=r"each dimension must lie in 0\.\.d"):
             common_core(5, (2, 6), core_dim=1, seed=0)
 
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("build", [
+        lambda: random_system(9.0, (3, 3, 3)),
+        lambda: random_system(9, (2.5, 3)),
+        lambda: random_system(9, (3, True)),
+        lambda: random_system(9, (3, 3, 3), 1.5),
+        lambda: random_system(9, (3, 3, 3), None),
+        lambda: common_core(8, (3, 4, 3), 1.0),
+        lambda: example3(12.5),
+        lambda: example3(12.0),
+        lambda: tilted_pairs(2.0),
+        lambda: tilted_pairs(True),
+    ], ids=["d", "dims-float", "dims-bool", "seed-float", "seed-none", "core", "example3", "example3-whole",
+            "tilted", "tilted-bool"])
+    def test_a_non_integer_count_dimension_or_seed_is_refused(self, build):
+        # each used to be rounded silently ((2.5, 3) built dims (2, 3)) or to leak a numpy TypeError
+        with pytest.raises(ValueError, match="integer"):
+            build()
+
+    def test_numpy_integers_are_accepted(self):
+        dims = np.array([3, 4, 3])
+        a = common_core(np.int64(8), tuple(dims), np.int32(1), np.int64(2))
+        b = common_core(8, (3, 4, 3), 1, 2)
+        assert a.dims == b.dims == (3, 4, 3)
+        assert all(np.array_equal(s.basis, t.basis) for s, t in zip(a.subspaces, b.subspaces))
+        assert example3(np.int64(12)).dims == (4, 5, 6)
+        assert tilted_pairs(np.int64(3)).ambient_dim == 6

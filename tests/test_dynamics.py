@@ -488,6 +488,19 @@ class TestScaledWalks:
         self.agree(operator_error_norms(system, 300).errors,
                    scaled_walk(system, system.reduced[0].basis, schedule, 300))
 
+    @pytest.mark.parametrize("build, n_max", [(lambda: two_lines(1.57), 1000),
+                                              (lambda: random_system(400, (5, 5, 5), seed=2), 2916)],
+                             ids=["lines", "thin"])
+    def test_a_stack_decaying_past_its_squares_holds_no_false_zero(self, build, n_max):
+        # the first stack decays past 2^-537, where the squares of a row's entries underflow:
+        # plain row norms read 26 (lines, from pass 27) and 53 (thin) false zeros here
+        system = build()
+        x0 = np.ones(system.ambient_dim)
+        got = iterate_vector(system, x0, IndexSchedule.cyclic(system.n_subspaces), n_max).errors
+        want = scaled_walk(system, x0, IndexSchedule.cyclic(system.n_subspaces), n_max)
+        assert not ((got == 0.0) & (want != 0.0)).any()
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=2 * TINY)
+
     @pytest.mark.parametrize("window", [None, 5])
     def test_random_trace_holds_no_false_zero(self, window):
         # unscaled norms read 149 (window None) and 374 (window 5) false zeros here
