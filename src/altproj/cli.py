@@ -172,8 +172,6 @@ def _cmd_iterate(args) -> int:
     if args.indices is not None and args.order != "explicit":
         raise ValueError("--indices needs --order explicit")
     system = _read_system(args.system)
-    if args.order == "explicit" and not args.indices:
-        raise ValueError("explicit order needs --indices")
     schedule = IndexSchedule(kind=args.order, n_subspaces=system.n_subspaces,
                              seed=args.seed if args.order == "random" else None,
                              coverage_window=args.coverage_window,
@@ -182,8 +180,6 @@ def _cmd_iterate(args) -> int:
         x0 = np.random.default_rng(args.seed).standard_normal(system.ambient_dim)
     else:
         x0 = np.array([float(part) for part in args.x0.split(",")])
-        if x0.shape[0] != system.ambient_dim:
-            raise ValueError("--x0 coordinates must match the ambient dimension")
     _write_trace(args.trace, iterate_vector(system, x0, schedule, args.iters))
     return 0
 

@@ -63,16 +63,12 @@ def example3(d: int = 12) -> SubspaceSystem:
 
 
 def two_lines(theta: float) -> SubspaceSystem:
-    """Two lines in R^2 at angle theta; the joint angle cosine is cos(theta).
+    """Two lines in R^2 at angle theta, the one-block `tilted_pairs`; the joint angle cosine is cos(theta).
 
     theta = 0 is rejected (the lines coincide; use common_core for
     degenerate studies).
     """
-    if not 0.0 < theta <= np.pi / 2:
-        raise ValueError("theta must lie in (0, pi/2]")
-    first = Subspace(2, np.array([[1.0], [0.0]]), "S1")
-    second = Subspace(2, np.array([[np.cos(theta)], [np.sin(theta)]]), "S2")
-    return SubspaceSystem((first, second))
+    return tilted_pairs(1, [theta])
 
 
 def tilted_pairs(k: int, angles=None) -> SubspaceSystem:
@@ -88,7 +84,7 @@ def tilted_pairs(k: int, angles=None) -> SubspaceSystem:
              else np.asarray(angles, dtype=float).reshape(-1))
     if theta.shape[0] != k:
         raise ValueError(f"expected {k} angles, got {theta.shape[0]}")
-    if ((theta <= 0) | (theta > np.pi / 2)).any():
+    if not ((theta > 0) & (theta <= np.pi / 2)).all():
         raise ValueError("angles must lie in (0, pi/2]")
     d = 2 * k
     horizontal = np.zeros((d, k))

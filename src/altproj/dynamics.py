@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angles import friedrichs_number
+from .angles import _checked_range, friedrichs_number
 from .corpus import tilted_pairs
-from .numerics import NumericalFailure, _is_integer, operator_norm
+from .numerics import _is_integer, operator_norm
 from .subspace import SubspaceSystem, _derived
 
 _DEFLATED_ORDER = 8  # column count from which the operator trace may deflate; the routes tie near 6 or 7
@@ -254,10 +254,9 @@ def _reduced_chain(system: SubspaceSystem, indices) -> np.ndarray:
 
 @_derived
 def _cyclic_chain(system: SubspaceSystem) -> tuple[np.ndarray, np.ndarray]:
-    """(K, K W): K the reduced chain of 1..N and W = R_1^T R_N."""
-    n = system.n_subspaces
-    k = _reduced_chain(system, range(1, n + 1))
-    return k, k @ _reduced_chain(system, (n, 1))
+    """(K, K W): K the reduced chain of 1..N and W = R_1^T R_N, the stored Gram block."""
+    k = _reduced_chain(system, range(1, system.n_subspaces + 1))
+    return k, k @ system.gram_blocks[0][-1]
 
 
 @_derived
@@ -346,9 +345,7 @@ def random_product_norm(system: SubspaceSystem, indices) -> float:
     cyclic = idx == list(range(1, system.n_subspaces + 1))  # ||K|| is then cached on the system
     value = (operator_error_norms(system, 1).errors[0] if cyclic
              else operator_norm(_reduced_chain(system, idx)))
-    if value > 1.0 + system.tol.check_tol:
-        raise NumericalFailure(f"product-of-projections gap {value} exceeds 1")
-    return float(min(value, 1.0))
+    return _checked_range(value, 0.0, 1.0, system.tol.check_tol, "product-of-projections gap")
 
 
 @dataclass(frozen=True)

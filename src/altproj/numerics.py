@@ -69,12 +69,14 @@ def orthonormalize(vectors, tol: TolerancePolicy = DEFAULT_TOL, ambient_dim: int
     one vector per row.  The result is d x k with k the numerical rank of
     the input: its singular values above max(d, m) * eps * sigma_max for m
     vectors.  An empty span yields a d x 0 matrix, never an error; an
-    `ambient_dim` that the vectors' length contradicts is one.  Inputs
-    whose columns are already orthonormal are returned unchanged, so stored
-    bases round-trip exactly through serialization; "already orthonormal"
-    never means looser than the default check_tol, the test every
-    `Subspace` basis must pass, whatever the policy.
+    `ambient_dim` that is not an integer >= 1, or that the vectors' length
+    contradicts, is one.  Inputs whose columns are already orthonormal are
+    returned unchanged, so stored bases round-trip exactly through
+    serialization; "already orthonormal" never means looser than the default
+    check_tol, the test every `Subspace` basis must pass, whatever the policy.
     """
+    if ambient_dim is not None and (not _is_integer(ambient_dim) or ambient_dim < 1):
+        raise ValueError(f"ambient_dim must be >= 1 and an integer, got {ambient_dim!r}")
     if isinstance(vectors, np.ndarray):
         arr = vectors
     else:
@@ -82,7 +84,7 @@ def orthonormalize(vectors, tol: TolerancePolicy = DEFAULT_TOL, ambient_dim: int
         if not rows:
             if ambient_dim is None:
                 raise ValueError("an empty spanning set needs an explicit ambient_dim")
-            return np.zeros((int(ambient_dim), 0))
+            return np.zeros((ambient_dim, 0))
         try:
             arr = np.asarray(rows, dtype=float)
         except ValueError as exc:
@@ -93,8 +95,8 @@ def orthonormalize(vectors, tol: TolerancePolicy = DEFAULT_TOL, ambient_dim: int
     if arr.ndim != 2:
         raise ValueError("expected a sequence of vectors or a 2-D array")
     if arr.shape == (0, 0) and ambient_dim is not None:
-        return np.zeros((int(ambient_dim), 0))
-    if ambient_dim is not None and arr.shape[1] != int(ambient_dim):
+        return np.zeros((ambient_dim, 0))
+    if ambient_dim is not None and arr.shape[1] != ambient_dim:
         raise ValueError(f"vectors have length {arr.shape[1]}, but ambient_dim is {ambient_dim}")
     if arr.shape[0] == 0:
         return np.zeros((arr.shape[1], 0))

@@ -324,6 +324,17 @@ class TestIterate:
         assert out == ""
         assert err.startswith(f"altproj: error: {named} needs --order ")
 
+    @pytest.mark.parametrize("flags", [["--order", "explicit"], ["--x0", "1.0,2.0,3.0"]],
+                             ids=["explicit-without-indices", "short-x0"])
+    def test_what_the_library_refuses_exits_one_in_one_line(self, tmp_path, capsys, flags):
+        # IndexSchedule refuses an explicit order without indices, iterate_vector an x0 of the wrong length
+        path = tmp_path / "sys.json"
+        path.write_text(dump_system(example3(4)))
+        assert cli.main(["iterate", str(path), *flags, "--iters", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("altproj: error: ") and err.count("\n") == 1
+
 
 class TestBounds:
     def test_huge_iteration_count_exits_one_without_traceback(self, tmp_path):

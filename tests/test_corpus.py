@@ -53,16 +53,18 @@ class TestTwoLines:
     def test_shallow_angle(self):
         assert friedrichs_number(two_lines(0.01)) == pytest.approx(np.cos(0.01), abs=1e-10)
 
-    @pytest.mark.parametrize("theta", [0.0, -0.5, np.pi])
+    @pytest.mark.parametrize("theta", [0.0, -0.5, np.pi, np.nan])
     def test_invalid_angles_rejected(self, theta):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"angles must lie in \(0, pi/2\]"):
             two_lines(theta)
 
 
 class TestTiltedPairs:
     def test_single_block_matches_two_lines(self):
-        assert abs(friedrichs_number(tilted_pairs(1, [np.pi / 3])) -
-                   friedrichs_number(two_lines(np.pi / 3))) <= 1e-12
+        for theta in (1e-8, 0.3, 1.0, np.pi / 3, np.pi / 2):
+            lines, block = two_lines(theta), tilted_pairs(1, [theta])
+            assert [s.name for s in lines.subspaces] == [s.name for s in block.subspaces] == ["S1", "S2"]
+            assert all(np.array_equal(a.basis, b.basis) for a, b in zip(lines.subspaces, block.subspaces))
 
     def test_block_norm_is_max_of_blocks(self):
         assert friedrichs_number(tilted_pairs(3)) == pytest.approx(np.cos(1.0 / 3.0), abs=1e-10)
@@ -77,8 +79,9 @@ class TestTiltedPairs:
         assert friedrichs_number(system) == pytest.approx(np.cos(np.pi / 4), abs=1e-10)
 
     def test_bad_angles_rejected(self):
-        with pytest.raises(ValueError):
-            tilted_pairs(2, [0.5, 0.0])
+        for angles in ([0.5, 0.0], [0.5, np.nan], [2.0, 0.5]):
+            with pytest.raises(ValueError, match=r"angles must lie in \(0, pi/2\]"):
+                tilted_pairs(2, angles)
 
     def test_block_count_checked(self):
         with pytest.raises(ValueError, match="at least one block"):

@@ -19,7 +19,7 @@ from altproj.diagnostics import (
 from altproj.dynamics import operator_error_norms, reduced_min_modulus
 from altproj.numerics import NumericalFailure
 from altproj.subspace import Subspace, SubspaceSystem
-from cases import coordinate_axes, random_triples_r9
+from cases import coordinate_axes, every_system, random_triples_r9
 
 
 def identical_lines():
@@ -45,6 +45,17 @@ class TestKwCheck:
     def test_rejects_triples(self):
         with pytest.raises(ValueError):
             kw_check(example3(12))
+
+    def test_is_dehu_on_every_corpus_pair(self):
+        # KW is DeHu's pair case, checked over the report's horizon
+        pairs = [(name, system) for name, build in every_system() if (system := build()).n_subspaces == 2]
+        assert len(pairs) > 30
+        for name, system in pairs:
+            report = bound_report(system, n_max=30)
+            kw, dehu = report.entry("KW"), report.entry("DeHu")
+            assert (kw.margin, kw.max_abs_deviation, kw.note) == (dehu.margin, dehu.max_abs_deviation, dehu.note), name
+            assert np.array_equal(kw.bound, dehu.bound) and np.array_equal(kw.measured, dehu.measured), name
+            assert len(kw.bound) == 30, name
 
 
 class TestCorMainCheck:

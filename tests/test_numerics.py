@@ -68,6 +68,17 @@ class TestOrthonormalize:
     def test_empty_array_takes_the_given_ambient_dim(self):
         assert orthonormalize(np.zeros((0, 0)), ambient_dim=4).shape == (4, 0)
 
+    @pytest.mark.parametrize("d", [2.9, 2.0, True, 0, -1])
+    @pytest.mark.parametrize("vectors", [[], np.zeros((0, 0))], ids=["empty-list", "empty-array"])
+    def test_ambient_dim_is_an_integer_of_at_least_one(self, vectors, d):
+        # an empty span used to take int(2.9) = 2 rows
+        with pytest.raises(ValueError, match="ambient_dim must be >= 1 and an integer"):
+            orthonormalize(vectors, ambient_dim=d)
+
+    def test_a_numpy_integer_ambient_dim_is_accepted(self):
+        assert orthonormalize([], ambient_dim=np.int64(2)).shape == (2, 0)
+        assert orthonormalize(np.eye(3)[:2], ambient_dim=np.int32(3)).shape == (3, 2)
+
     def test_three_dimensional_array_rejected(self):
         with pytest.raises(ValueError, match="sequence of vectors or a 2-D array"):
             orthonormalize(np.ones((2, 2, 2)))

@@ -47,6 +47,19 @@ class TestSubspace:
         with pytest.raises(ValueError, match="more basis columns than the ambient dimension"):
             Subspace(2, np.ones((2, 3)))
 
+    @pytest.mark.parametrize("d", [2.7, 2.0, True, "2"])
+    def test_raw_constructor_takes_an_integer_ambient_dim(self, d):
+        # int() used to turn 2.7 into 2 and True into 1 without a word
+        with pytest.raises(ValueError, match="ambient_dim must be >= 1 and an integer"):
+            Subspace(d, np.eye(2)[:, :1])
+        with pytest.raises(ValueError, match="ambient_dim must be >= 1 and an integer"):
+            Subspace.from_vectors([[1.0, 0.0]], ambient_dim=d)
+
+    def test_a_numpy_integer_ambient_dim_is_stored_as_an_int(self):
+        s = Subspace(np.int64(2), np.eye(2)[:, :1])
+        assert s.ambient_dim == 2 and type(s.ambient_dim) is int
+        assert Subspace.from_vectors([[1.0, 0.0]], ambient_dim=np.int32(2)).ambient_dim == 2
+
     def test_zero_and_full(self):
         assert Subspace(4, np.zeros((4, 0))).dim == 0
         assert full_space(4).dim == 4

@@ -103,8 +103,8 @@ def test_reports_derive_each_quantity_once(monkeypatch):
     stacked = np.hstack([r.basis for r in system.reduced])
     assert sum(np.array_equal(a, stacked.T @ stacked) for a in solves["eigh"]) == 1
     assert solves["eigvalsh"] == []
-    # K is built once, for the cyclic chain, and W once, as the wrap-around
-    assert chains == [(1, 2, 3), (3, 1)]
+    # K is built once, for the cyclic chain; W = R_1^T R_N is the stored Gram block
+    assert chains == [(1, 2, 3)]
     # the eigh of R^T R is shared by kappa and the inclination loop
     assert kappa == gamma == chain == spectrum == [(system,)]
     # the intersection and the prefix cosines are stored at construction; no analysis takes a meet
@@ -114,9 +114,22 @@ def test_reports_derive_each_quantity_once(monkeypatch):
     assert all(call[0] is system for call in traces)
 
 
-@pytest.mark.parametrize("build", [lambda: two_lines(np.pi / 3), lambda: tilted_pairs(5),
-                                   *[lambda s=s: random_system(8, (3, 4), seed=s) for s in range(3)]],
-                         ids=["lines", "tilted5", *[f"random8-{s}" for s in range(3)]])
+PAIRS = pytest.mark.parametrize("build", [lambda: two_lines(np.pi / 3), lambda: tilted_pairs(5),
+                                          *[lambda s=s: random_system(8, (3, 4), seed=s) for s in range(3)]],
+                                ids=["lines", "tilted5", *[f"random8-{s}" for s in range(3)]])
+
+
+@PAIRS
+def test_a_pair_walks_its_operator_trace_once(monkeypatch, build):
+    # KW is DeHu's pair case over the report's horizon: no second, shorter trace
+    system = build()
+    traces = count_derivations(monkeypatch, operator_error_norms)
+    bound_report(system, n_max=100)
+    dichotomy_report(system)
+    assert sorted(call[1] for call in traces) == [1, 100]
+
+
+@PAIRS
 def test_a_pair_reads_kappa_from_its_cosine(monkeypatch, build):
     # lambda_max([[I, B], [B^T, I]]) = 1 + sigma_max(B), B = R_1^T R_2: no report
     # of a pair solves an eigenproblem of G
