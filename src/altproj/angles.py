@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NumericalFailure
+from .numerics import _checked_range
 from .subspace import SubspaceSystem, _derived
 
 __all__ = [
@@ -82,12 +82,6 @@ class AngleReport:
     prefix_friedrichs: tuple[float, ...]
     inclination: InclinationEstimate | None
     degenerate: bool
-
-
-def _checked_range(value: float, lo: float, hi: float, check_tol: float, label: str) -> float:
-    if value < lo - check_tol or value > hi + check_tol:
-        raise NumericalFailure(f"{label} = {value} escapes [{lo}, {hi}] beyond tolerance")
-    return float(min(hi, max(lo, value)))
 
 
 @_derived

@@ -32,7 +32,7 @@ from .angles import angle_report
 from .corpus import common_core, example3, random_system, tilted_pairs, two_lines
 from .diagnostics import bound_report
 from .dynamics import ConvergenceTrace, IndexSchedule, SlowSequence, iterate_vector, slow_vector_probe
-from .numerics import NumericalFailure, _is_integer
+from .numerics import NumericalFailure, _count
 from .subspace import Subspace, SubspaceSystem
 
 __all__ = ["main", "load_system", "dump_system"]
@@ -73,11 +73,7 @@ def load_system(text: str) -> SubspaceSystem:
         raise ValueError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict) or "dim" not in doc or "subspaces" not in doc:
         raise ValueError('system file needs "dim" and "subspaces" keys')
-    dim, entries = doc["dim"], doc["subspaces"]
-    if not _is_integer(dim):
-        raise ValueError('"dim" must be an integer')
-    if not 1 <= dim <= MAX_DIM:
-        raise ValueError(f"dim must lie in 1..{MAX_DIM}, got {dim}")
+    dim, entries = _count(doc["dim"], "dim", 1, MAX_DIM), doc["subspaces"]
     if not isinstance(entries, list):
         raise ValueError('"subspaces" must be a list of objects')
     subs = []
@@ -155,8 +151,8 @@ def _cmd_gen(args) -> int:
     if missing:
         raise ValueError(f"{args.family} needs {' and '.join(missing)}")
     ambient = 2 * args.k if args.family == "tilted" else args.dim
-    if ambient is not None and ambient > MAX_DIM:  # refused before anything is built
-        raise ValueError(f"ambient dimension must lie in 1..{MAX_DIM}, got {ambient}")
+    if ambient is not None:  # refused before anything is built
+        _count(ambient, "ambient dimension", 1, MAX_DIM)
     _write_output(dump_system(build(args)), args.output)
     return 0
 
@@ -177,7 +173,7 @@ def _cmd_iterate(args) -> int:
                              coverage_window=args.coverage_window,
                              indices=args.indices and _parse_int_list(args.indices, "--indices"))
     if args.x0 == "random":
-        x0 = np.random.default_rng(args.seed).standard_normal(system.ambient_dim)
+        x0 = np.random.default_rng(_count(args.seed, "seed", 0)).standard_normal(system.ambient_dim)
     else:
         x0 = np.array([float(part) for part in args.x0.split(",")])
     _write_trace(args.trace, iterate_vector(system, x0, schedule, args.iters))
@@ -196,8 +192,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_probe_slow(args) -> int:
-    if 2 * args.k > MAX_DIM:
-        raise ValueError(f"ambient dimension must lie in 1..{MAX_DIM}, got 2 * k = {2 * args.k}")
+    _count(2 * args.k, "ambient dimension 2k", 1, MAX_DIM)
     if args.seq.startswith("pow:"):
         seq = SlowSequence.power(float(args.seq.split(":", 1)[1]))
     elif args.seq == "log":

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import _is_integer
+from .numerics import _count
 from .subspace import Subspace, SubspaceSystem
 
 __all__ = [
@@ -49,8 +49,7 @@ def example3(d: int = 12) -> SubspaceSystem:
     the axes with index 2 mod 3.  The pairwise intersections are the axes
     0, 1 and 3 while the triple intersection is {0}.
     """
-    if not _is_integer(d) or d < 4:
-        raise ValueError(f"example3 needs an integer ambient dimension >= 4, got {d!r}")
+    d = _count(d, "d", 4)
     i1 = range(0, d, 3)
     i2 = [0, *range(1, d, 3)]
     i3 = [1, 3, *range(2, d, 3)]
@@ -78,8 +77,7 @@ def tilted_pairs(k: int, angles=None) -> SubspaceSystem:
     lists the K angles theta_i, each in (0, pi/2], and None means
     theta_i = 1/i.
     """
-    if not _is_integer(k) or k < 1:
-        raise ValueError(f"need an integer count of at least one block, got {k!r}")
+    k = _count(k, "k")
     theta = (1.0 / np.arange(1, k + 1, dtype=float) if angles is None
              else np.asarray(angles, dtype=float).reshape(-1))
     if theta.shape[0] != k:
@@ -107,15 +105,11 @@ def common_core(d: int, dims, core_dim: int, seed: int = 0) -> SubspaceSystem:
     Guarantees a nontrivial intersection (generically exactly the core), so
     reduction and the non-reduced angle parameters get exercised.
     """
-    dims = tuple(dims)
-    if not all(map(_is_integer, (d, core_dim, seed, *dims))):
-        raise ValueError("d, the dimensions, core_dim and the seed must be integers")
+    d, seed = _count(d, "d"), _count(seed, "seed", 0)
+    dims = tuple(_count(m, "dims", 0, d) for m in dims)
     if len(dims) < 2:
         raise ValueError("need at least two subspaces")
-    if any(not 0 <= m <= d for m in dims):
-        raise ValueError("each dimension must lie in 0..d")
-    if not 0 <= core_dim <= min(dims):
-        raise ValueError("core_dim must lie in 0..min(dims)")
+    core_dim = _count(core_dim, "core_dim", 0, min(dims))
     rng = np.random.default_rng(seed)
     core = rng.standard_normal((core_dim, d))
     subs = []

@@ -126,7 +126,7 @@ def _finish(name: str, measured, bound, check_tol: float, note: str = "",
     )
 
 
-def kw_check(system: SubspaceSystem, n_max: int = 10) -> BoundCheck:
+def kw_check(system: SubspaceSystem, n_max: int = 100) -> BoundCheck:
     """The pair equality ||(P_2 P_1)^n - P_M|| = c^(2n-1), c = sigma_max(R_1^T R_2): DeHu's pair case."""
     if system.n_subspaces != 2:
         raise ValueError("the pair equality check needs exactly two subspaces")

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angles import _checked_range, friedrichs_number
+from .angles import friedrichs_number
 from .corpus import tilted_pairs
-from .numerics import _is_integer, operator_norm
+from .numerics import _checked_range, _count, operator_norm
 from .subspace import SubspaceSystem, _derived
 
 _DEFLATED_ORDER = 8  # column count from which the operator trace may deflate; the routes tie near 6 or 7
@@ -44,7 +44,7 @@ __all__ = [
 class IndexSchedule:
     """A deterministic stream of projection indices in {1..N}.
 
-    kind is "cyclic", "random" (the only kind with a seed, an integer, and a
+    kind is "cyclic", "random" (the only kind with a seed, an integer >= 0, and a
     coverage window) or "explicit" (the only one with `indices`).  With a
     coverage window w, every window of w consecutive indices contains all of
     {1..N}: for w < 2N-1 the only such streams are periodic repeats of a
@@ -62,24 +62,20 @@ class IndexSchedule:
     def __post_init__(self) -> None:
         if self.kind not in ("cyclic", "random", "explicit"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        window = () if self.coverage_window is None else (self.coverage_window,)
-        if not all(map(_is_integer, (self.n_subspaces, *window, *(self.indices or ())))):
-            raise ValueError("n_subspaces, the coverage window and the indices must be integers")
-        if self.n_subspaces < 1:
-            raise ValueError("n_subspaces must be >= 1")
+        n = _count(self.n_subspaces, "n_subspaces")
         if self.kind == "explicit":
             if not self.indices:
                 raise ValueError("an index list must be nonempty")
-            if any(not 1 <= i <= self.n_subspaces for i in self.indices):
-                raise ValueError("indices must lie in 1..N")
+            for i in self.indices:
+                _count(i, "indices", 1, n)
         elif self.indices is not None:
             raise ValueError(f"a {self.kind} schedule takes no index list")
-        if self.kind == "random" and not _is_integer(self.seed):
-            raise ValueError(f"a random schedule needs an integer seed, got {self.seed!r}")
         if self.kind != "random" and (self.seed, self.coverage_window) != (None, None):
             raise ValueError(f"a {self.kind} schedule takes no seed and no coverage window")
-        if self.coverage_window is not None and self.coverage_window < self.n_subspaces:
-            raise ValueError("coverage window cannot be shorter than the index alphabet")
+        if self.kind == "random":
+            _count(self.seed, "seed", 0)
+        if self.coverage_window is not None:
+            _count(self.coverage_window, "coverage_window", n)
 
     @classmethod
     def cyclic(cls, n_subspaces: int) -> "IndexSchedule":
@@ -95,10 +91,7 @@ class IndexSchedule:
 
     def first(self, count: int) -> np.ndarray:
         """The first `count` indices of the stream (1-based values)."""
-        if not _is_integer(count):
-            raise ValueError(f"count must be an integer, got {count!r}")
-        if count < 0:
-            raise ValueError("count must be nonnegative")
+        count = _count(count, "count", 0)
         n = self.n_subspaces
         if self.kind == "cyclic":
             return np.arange(count) % n + 1
@@ -136,8 +129,7 @@ def iterate_vector(system: SubspaceSystem, x0, schedule: IndexSchedule, n_max: i
     the iterate is P_M x0 + R_j a and the error is ||a||; a cyclic pass maps
     a by K W (see `operator_error_norms`), a step from M_i to M_j by R_j^T R_i.
     """
-    if not _is_integer(n_max) or n_max < 1:
-        raise ValueError(f"n_max must be >= 1 and an integer, got {n_max!r}")
+    n_max = _count(n_max, "n_max")
     if schedule.n_subspaces != system.n_subspaces:
         raise ValueError("schedule and system disagree on the number of subspaces")
     x = np.asarray(x0, dtype=float).reshape(-1)
@@ -267,8 +259,7 @@ def operator_error_norms(system: SubspaceSystem, n_max: int) -> ConvergenceTrace
     every step is an r x r product, and the trace keeps decaying below the round-off of subtracting P_M
     in R^d.  Each norm is a batched SVD's or a certified thin head's (`_top_singular_values`).
     """
-    if not _is_integer(n_max) or n_max < 1:
-        raise ValueError(f"n_max must be >= 1 and an integer, got {n_max!r}")
+    n_max = _count(n_max, "n_max")
     k, kw = _cyclic_chain(system)
     walk = _power_blocks(kw, k, n_max) if k.size else ()  # K empty: M_1 or M_N is M, so T = P_M and all 0
     return _scaled_trace(walk, _top_singular_values(k.shape[1]), n_max)
@@ -383,8 +374,7 @@ class SlowSequence:
         return cls(kind="explicit", explicit_values=tuple(float(v) for v in values))
 
     def values(self, horizon: int) -> np.ndarray:
-        if not _is_integer(horizon) or horizon < 1:
-            raise ValueError(f"horizon must be >= 1 and an integer, got {horizon!r}")
+        horizon = _count(horizon, "horizon")
         n = np.arange(1, horizon + 1, dtype=float)
         if self.kind == "power":
             a = (n + 2.0) ** (-self.exponent)

@@ -7,6 +7,9 @@ which also bounds the principal sines of a meet) is given to what builds a
 subspace or a system, and every analysis of a system reads the policy the
 system carries.  The rank cutoff of orthonormalization is not part of it:
 it is fixed at the usual rank-revealing max(d, m) * eps * sigma_max.
+Two rules guard the inputs and outputs of the library: `_count` admits every
+count, index, dimension and seed, and `_checked_range` clamps a computed
+quantity into its a-priori range or raises `NumericalFailure`.
 """
 
 from __future__ import annotations
@@ -29,6 +32,21 @@ class NumericalFailure(RuntimeError):
     """A computed quantity violates a hard a-priori range."""
 
 
+def _checked_range(value: float, lo: float, hi: float, check_tol: float, label: str) -> float:
+    if value < lo - check_tol or value > hi + check_tol:
+        raise NumericalFailure(f"{label} = {value} escapes [{lo}, {hi}] beyond tolerance")
+    return float(min(hi, max(lo, value)))
+
+
+def _count(value, name: str, least: int = 1, most: int | None = None) -> int:
+    """int(value) for an int or numpy integer, not a bool, in least..most: every count, index, dimension and seed."""
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and least <= value and (most is None or value <= most)):
+        return int(value)
+    bound = f">= {least}" if most is None else f"in {least}..{most}"
+    raise ValueError(f"{name} must be {bound} and an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TolerancePolicy:
     """Thresholds shared by every numeric routine.
@@ -45,11 +63,6 @@ class TolerancePolicy:
 
 
 DEFAULT_TOL = TolerancePolicy()
-
-
-def _is_integer(value) -> bool:
-    """An int or a numpy integer, not a bool: the type of every count, index, dimension and seed."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def as_matrix(a) -> np.ndarray:
@@ -75,8 +88,7 @@ def orthonormalize(vectors, tol: TolerancePolicy = DEFAULT_TOL, ambient_dim: int
     serialization; "already orthonormal" never means looser than the default
     check_tol, the test every `Subspace` basis must pass, whatever the policy.
     """
-    if ambient_dim is not None and (not _is_integer(ambient_dim) or ambient_dim < 1):
-        raise ValueError(f"ambient_dim must be >= 1 and an integer, got {ambient_dim!r}")
+    ambient_dim = None if ambient_dim is None else _count(ambient_dim, "ambient_dim")
     if isinstance(vectors, np.ndarray):
         arr = vectors
     else:

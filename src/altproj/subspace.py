@@ -21,7 +21,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, TolerancePolicy, _is_integer, as_matrix, orthonormalize
+from .numerics import DEFAULT_TOL, TolerancePolicy, _count, as_matrix, orthonormalize
 
 __all__ = [
     "Subspace",
@@ -44,9 +44,7 @@ class Subspace:
     name: str = ""
 
     def __post_init__(self) -> None:
-        d = self.ambient_dim
-        if not _is_integer(d) or d < 1:
-            raise ValueError(f"ambient_dim must be >= 1 and an integer, got {d!r}")
+        d = _count(self.ambient_dim, "ambient_dim")
         b = as_matrix(self.basis)
         if b.shape[0] != d:
             raise ValueError(f"basis has {b.shape[0]} rows, expected {d}")
@@ -60,7 +58,7 @@ class Subspace:
                 )
         b = b.copy()
         b.setflags(write=False)
-        object.__setattr__(self, "ambient_dim", int(d))
+        object.__setattr__(self, "ambient_dim", d)
         object.__setattr__(self, "basis", b)
 
     @classmethod

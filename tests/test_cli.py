@@ -1,9 +1,11 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,6 +177,19 @@ class TestGen:
         assert not out.exists()
         assert "ambient dimension" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--family", "random", "--dim", "0", "--dims", "1,1"],
+        ["gen", "--family", "tilted", "--k", "-1"],
+        ["probe-slow", "--k", "0", "--horizon", "5"],
+    ])
+    def test_an_ambient_dimension_below_one_exits_one_with_one_line(self, monkeypatch, capsys, argv):
+        # refused by the integer rule before anything is built
+        for builder in ("random_system", "tilted_pairs", "slow_vector_probe"):
+            monkeypatch.setattr(cli, builder, refuse_to_build)
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("altproj: error: ambient dimension") and err.count("\n") == 1
+
     def test_coordinate_example_dimensions(self, tmp_path):
         out = tmp_path / "ex3.json"
         result = run_cli("gen", "--family", "example3", "--dim", "12", "-o", str(out))
@@ -267,6 +282,14 @@ class TestIterate:
         path = tmp_path / "sys.json"
         path.write_text(dump_system(two_lines(0.5)))
         assert_huge_count_refused(["iterate", str(path)], "--iters")
+
+    @pytest.mark.parametrize("order", ["cyclic", "random"])
+    def test_a_negative_seed_exits_one_with_the_library_message(self, tmp_path, capsys, order):
+        # the seed of a random x0 used to reach numpy, which said "expected non-negative integer"
+        path = tmp_path / "sys.json"
+        path.write_text(dump_system(two_lines(0.5)))
+        assert cli.main(["iterate", str(path), "--order", order, "--seed", "-1", "--iters", "3"]) == 1
+        assert capsys.readouterr().err == "altproj: error: seed must be >= 0 and an integer, got -1\n"
 
     def test_cyclic_coordinate_example(self, tmp_path):
         path = tmp_path / "sys.json"
@@ -455,3 +478,29 @@ class TestProbeSlow:
         result = run_cli("probe-slow", "--k", "2", "--rule", "inv-k", "--horizon", "5")
         assert result.returncode == 1
         assert "unrecognized arguments: --rule" in result.stderr
+
+
+def readme_commands() -> list[list[str]]:
+    """The argument lists of the `altproj ...` lines of the README's "Command line" block, comments dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## Command line\n", 1)[1].split("\n```\n", 1)[0]
+    return [line.split("#", 1)[0].split()[1:] for line in block.splitlines() if line.startswith("altproj ")]
+
+
+def test_the_readme_commands_run_and_write_numeric_traces(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert commands
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+    for name in ("trace.csv", "curves.csv", "probe.csv", "deep.csv"):
+        with open(name, newline="", encoding="utf-8") as handle:
+            header, *rows = csv.reader(handle)
+        assert rows, name
+        for row in rows:
+            assert len(row) == len(header) and all(np.isfinite(list(map(float, row)))), (name, row)
+    # the 1000-pass trace of deep.json sinks below the normal float range: unscaled
+    # norms stopped near 1e-162, a scaled walk reaches the subnormals
+    with open("deep.csv", newline="", encoding="utf-8") as handle:
+        errors = [float(row["measured"]) for row in csv.DictReader(handle)]
+    assert min(e for e in errors if e > 0) < 1e-300

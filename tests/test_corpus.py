@@ -84,7 +84,7 @@ class TestTiltedPairs:
                 tilted_pairs(2, angles)
 
     def test_block_count_checked(self):
-        with pytest.raises(ValueError, match="at least one block"):
+        with pytest.raises(ValueError, match="k must be >= 1 and an integer, got 0"):
             tilted_pairs(0)
         with pytest.raises(ValueError, match="expected 2 angles, got 3"):
             tilted_pairs(2, [0.5, 0.6, 0.7])
@@ -128,7 +128,7 @@ class TestCommonCore:
     def test_invalid_dims_rejected(self):
         with pytest.raises(ValueError, match="at least two subspaces"):
             common_core(5, (2,), core_dim=1, seed=0)
-        with pytest.raises(ValueError, match=r"each dimension must lie in 0\.\.d"):
+        with pytest.raises(ValueError, match=r"dims must be in 0\.\.5 and an integer, got 6"):
             common_core(5, (2, 6), core_dim=1, seed=0)
 
 

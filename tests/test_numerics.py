@@ -1,11 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from altproj.corpus import example3
+from altproj.cli import MAX_DIM, load_system
+from altproj.corpus import common_core, example3, tilted_pairs, two_lines
+from altproj.dynamics import IndexSchedule, SlowSequence, iterate_vector, operator_error_norms
 from altproj.numerics import TolerancePolicy, as_matrix, operator_norm, orthonormalize
+from altproj.subspace import Subspace
 from oracles import gram_schmidt, min_singular_2x2, principal_eigenspace, projector, restricted_min_singular
 
 finite_entries = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -197,3 +202,42 @@ class TestPrincipalEigenspace:
     def test_eig_tol_widens_selection(self):
         basis = principal_eigenspace(np.diag([1.0, 0.9, 0.0]), 1.0, eig_tol=0.2)
         assert basis.shape == (3, 2)
+
+
+LINES = {"subspaces": [{"vectors": [[1, 0, 0]]}, {"vectors": [[0, 1, 0]]}]}
+# entry point -> (argument name, least, most, the call as a function of the value, a valid value)
+COUNTS = {
+    "Subspace": ("ambient_dim", 1, None, lambda v: Subspace(v, np.zeros((3, 0))), 3),
+    "orthonormalize": ("ambient_dim", 1, None, lambda v: orthonormalize([], ambient_dim=v), 3),
+    "schedule-n": ("n_subspaces", 1, None, lambda v: IndexSchedule.cyclic(v), 3),
+    "schedule-index": ("indices", 1, 3, lambda v: IndexSchedule.explicit([1, v], 3), 2),
+    "schedule-seed": ("seed", 0, None, lambda v: IndexSchedule.random(3, v), 0),
+    "schedule-window": ("coverage_window", 3, None, lambda v: IndexSchedule.random(3, 0, v), 5),
+    "schedule-first": ("count", 0, None, lambda v: IndexSchedule.cyclic(3).first(v), 4),
+    "iterate_vector": ("n_max", 1, None, lambda v: iterate_vector(two_lines(1.0), [1.0, 1.0],
+                                                                  IndexSchedule.cyclic(2), v), 3),
+    "operator_error_norms": ("n_max", 1, None, lambda v: operator_error_norms(two_lines(1.0), v), 3),
+    "SlowSequence.values": ("horizon", 1, None, lambda v: SlowSequence.log().values(v), 3),
+    "example3": ("d", 4, None, example3, 6),
+    "tilted_pairs": ("k", 1, None, tilted_pairs, 2),
+    "common_core-d": ("d", 1, None, lambda v: common_core(v, (1, 1), 0), 3),
+    "common_core-seed": ("seed", 0, None, lambda v: common_core(5, (2, 2), 0, v), 1),
+    "common_core-dims": ("dims", 0, 5, lambda v: common_core(5, (2, v), 0), 3),
+    "common_core-core": ("core_dim", 0, 2, lambda v: common_core(5, (2, 3), v), 1),
+    # JSON has no numpy integers: json.dumps writes one through int()
+    "load_system": ("dim", 1, MAX_DIM, lambda v: load_system(json.dumps({"dim": v, **LINES}, default=int)), 3),
+}
+
+
+@pytest.mark.parametrize("entry", COUNTS)
+def test_every_count_index_dimension_and_seed_takes_one_rule(entry):
+    name, least, most, call, valid = COUNTS[entry]
+    bound = f">= {least}" if most is None else f"in {least}..{most}"
+    outside = [least - 1] + ([] if most is None else [most + 1])
+    for value in [2.5, True, "3", *outside]:
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert str(info.value) == f"{name} must be {bound} and an integer, got {value!r}", value
+    call(valid)
+    call(np.int64(valid))
+    call(np.uint8(valid))

@@ -129,6 +129,16 @@ def test_a_pair_walks_its_operator_trace_once(monkeypatch, build):
     assert sorted(call[1] for call in traces) == [1, 100]
 
 
+def test_kw_shares_the_default_horizon_of_dehu_and_the_report(monkeypatch):
+    # kw_check used to default to n_max = 10, a third trace beside the report's n = 1 and 100
+    system = two_lines(1.0)
+    traces = count_derivations(monkeypatch, operator_error_norms)
+    diagnostics.kw_check(system)
+    diagnostics.dehu_check(system)
+    bound_report(system)
+    assert sorted(call[1] for call in traces) == [1, 100]
+
+
 @PAIRS
 def test_a_pair_reads_kappa_from_its_cosine(monkeypatch, build):
     # lambda_max([[I, B], [B^T, I]]) = 1 + sigma_max(B), B = R_1^T R_2: no report
