@@ -8,9 +8,11 @@ repository's src/, tests/ and scripts/.  A name an import binds counts as read
 when it is loaded anywhere in its file, string annotations included, or is
 listed in the file's __all__.  `from __future__` imports and the relative
 imports of a package's __init__.py, which re-export the package's names,
-always count.  A private name (_x, not a dunder) that a module defines at its
-top level counts as read when some file of the program loads it or reaches it
-as an attribute; the program is src/, or the files of the PATHs when given.
+always count.  `from x import *` belongs only in a package's __init__.py,
+where it republishes a module's __all__; anywhere else it is reported.  A
+private name (_x, not a dunder) that a module defines at its top level counts
+as read when some file of the program loads it or reaches it as an attribute;
+the program is src/, or the files of the PATHs when given.
 Exit 1 if there is a finding.  Only the standard library is used.
 """
 
@@ -59,6 +61,15 @@ def unused_imports(path: Path) -> list[tuple[int, str]]:
     return found
 
 
+def wildcard_imports(path: Path) -> list[int]:
+    """The line of each `from x import *` in a file other than a package's __init__.py."""
+    if path.name == "__init__.py":
+        return []
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and any(alias.name == "*" for alias in node.names)]
+
+
 def private_definitions(tree: ast.Module) -> list[tuple[int, str]]:
     """(line, name) for each private function, class or variable the module defines at its top level."""
     found = []
@@ -94,6 +105,8 @@ def main(argv=None) -> int:
     files = python_files([Path(a) for a in args] or [ROOT / "src", ROOT / "tests", ROOT / "scripts"])
     problems = [f"{path}:{line}: {name!r} is imported but unused"
                 for path in files for line, name in unused_imports(path)]
+    problems += [f"{path}:{line}: wildcard import outside a package's __init__.py"
+                 for path in files for line in wildcard_imports(path)]
     problems += [f"{path}:{line}: private name {name!r} is defined but never read"
                  for path, line, name in unread_private_names(files if args else python_files([ROOT / "src"]))]
     print("\n".join(problems) or f"no unused imports in {len(files)} files, no unread private names")

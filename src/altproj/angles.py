@@ -4,7 +4,7 @@ For N subspaces with intersection M the module computes:
 
 * the configuration constant  kappa = || (P_1 + ... + P_N)/N - P_M ||, read from
   the one eigh of R^T R that the inclination shares, or for a pair from its cosine,
-* the joint Friedrichs number c = N/(N-1) * kappa - 1/(N-1)  in [0, 1],
+* the joint Friedrichs number c = N/(N-1) * kappa - 1/(N-1)  in [0, 1], for a pair its cosine,
 * the non-reduced pair (c0, kappa0) in closed form: kappa0 = ||P_D P_C||^2
   on the product space equals the norm of the mean projector, so the pair
   is (1, 1) when the intersection is nonzero and (c, kappa) otherwise,
@@ -112,9 +112,12 @@ def friedrichs_number(system: SubspaceSystem) -> float:
     """Joint Friedrichs number c = N/(N-1) * kappa - 1/(N-1), in [0, 1].
 
     c = 0 for pairwise orthogonal subspaces, c = 1 exactly when uniform
-    geometric convergence of the cyclic projection iteration fails.
+    geometric convergence of the cyclic projection iteration fails.  A pair's
+    c is its table cosine itself: 2 kappa - 1 would round its last bit away.
     """
     n = system.n_subspaces
+    if n == 2:
+        return float(pairwise_dixmier_reduced(system)[0, 1])
     c = (n * configuration_constant(system) - 1.0) / (n - 1.0)
     return _checked_range(c, 0.0, 1.0, system.tol.check_tol, "Friedrichs number")
 

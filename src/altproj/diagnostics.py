@@ -42,7 +42,6 @@ __all__ = [
     "BoundCheck",
     "BoundReport",
     "DichotomyVerdict",
-    "NEAR_ASC_MARGIN",
     "bound_report",
     "cor_main_check",
     "dehu_check",

@@ -428,8 +428,8 @@ def slow_vector_probe(angles, seq: SlowSequence, horizon: int) -> SlowProbeResul
         for k in np.argsort(rho):
             if n > horizon:
                 break
-            if rho[k] <= 0.0 or rho[k] >= 1.0:
-                continue  # no decay to trade on, or angle below float resolution
+            if rho[k] >= 1.0:
+                continue  # angle below float resolution: no decay to trade on
             cap = int(math.floor(math.log(0.1) / math.log(rho[k])))
             while n <= min(cap, horizon):
                 alpha[k] = max(alpha[k], a[n - 1] / rho[k] ** n)

@@ -22,7 +22,6 @@ __all__ = [
     "NumericalFailure",
     "TolerancePolicy",
     "DEFAULT_TOL",
-    "as_matrix",
     "orthonormalize",
     "operator_norm",
 ]

@@ -49,3 +49,12 @@ def test_a_private_name_no_file_reads_is_reported(tmp_path):
     (tmp_path / "c.py").write_text("from a import _SPARE, _Unused, _dead\n\nprint(_SPARE, _Unused, _dead)\n",
                                    encoding="utf-8")
     assert check_imports.main([str(tmp_path)]) == 0
+
+
+def test_a_wildcard_import_belongs_only_in_a_package_init(tmp_path):
+    text = "from .angles import *\nfrom json import *\n"
+    for name, found in [("__init__.py", []), ("module.py", [1, 2])]:
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        assert check_imports.wildcard_imports(path) == found
+    assert check_imports.main([str(tmp_path / "module.py")]) == 1

@@ -702,6 +702,12 @@ class TestSlowVectorProbe:
         assert not result.success
         assert 0 <= result.achieved_horizon < 100
 
+    def test_an_angle_whose_cosine_rounds_to_one_gets_no_weight(self):
+        # cos(1e-9)^2 rounds to 1: that block cannot decay, so the probe leaves it out
+        result = slow_vector_probe([1e-9, 0.5], SlowSequence.power(0.5), 20)
+        assert (result.x[:2] == 0.0).all()
+        assert (result.x[2:] != 0.0).any()
+
     def test_invalid_horizon(self):
         with pytest.raises(ValueError):
             slow_vector_probe([0.5], SlowSequence.log(), 0)

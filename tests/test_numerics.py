@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from altproj.cli import MAX_DIM, load_system
 from altproj.corpus import common_core, example3, tilted_pairs, two_lines
 from altproj.dynamics import IndexSchedule, SlowSequence, iterate_vector, operator_error_norms
-from altproj.numerics import TolerancePolicy, as_matrix, operator_norm, orthonormalize
+from altproj.numerics import NumericalFailure, TolerancePolicy, _checked_range, as_matrix, operator_norm, orthonormalize
 from altproj.subspace import Subspace
 from oracles import gram_schmidt, min_singular_2x2, principal_eigenspace, projector, restricted_min_singular
 
@@ -106,6 +107,15 @@ class TestOrthonormalize:
         # input vectors lie in the span
         residual = arr.T - b @ (b.T @ arr.T)
         assert np.linalg.norm(residual) <= 1e-8 * max(1.0, np.linalg.norm(arr))
+
+
+def test_a_range_check_clamps_within_tolerance_and_raises_beyond_it():
+    assert _checked_range(1.0 + 5e-11, 0.0, 1.0, 1e-10, "cosine") == 1.0
+    assert _checked_range(-5e-11, 0.0, 1.0, 1e-10, "cosine") == 0.0
+    assert _checked_range(0.25, 0.0, 1.0, 1e-10, "cosine") == 0.25
+    for value in (1.0 + 2e-10, -2e-10):
+        with pytest.raises(NumericalFailure, match=re.escape(f"cosine = {value!r} escapes [0.0, 1.0]")):
+            _checked_range(value, 0.0, 1.0, 1e-10, "cosine")
 
 
 def test_as_matrix_rejects_a_vector():

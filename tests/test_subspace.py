@@ -132,19 +132,21 @@ class TestIntersection:
         assert system.degenerate
 
     def test_near_coincident_lines_fail_loudly(self):
-        # sin(1.2e-8) clears check_tol, so M = {0}; but lambda_max(R^T R) =
-        # 1 + cos(theta) rounds to 2, c to 1.0, and the verdict's web breaks
-        system = two_lines(1.2e-8)
+        # sin(1.03e-8) clears check_tol, so M = {0}; but below 2^-26.5 = 1.0537e-8
+        # the table cosine cos(theta) rounds to 1, so c = 1 and the verdict's web breaks
+        system = two_lines(1.03e-8)
         assert system.intersection.dim == 0
         with pytest.raises(NumericalFailure):
             dichotomy_report(system)
 
     def test_lines_just_above_the_resolution_floor_meet_trivially(self):
-        # above 1.83e-8, 1 + cos(theta) no longer rounds to 2 and c < 1
-        system = two_lines(3e-8)
-        assert system.intersection.dim == 0
-        assert friedrichs_number(system) < 1.0
-        assert dichotomy_report(system).verdict == "QUC"
+        # from 1.0537e-8 on, cos(theta) < 1 and a pair's c is that cosine itself;
+        # 1 + cos(theta) still rounds to 2 at 1.2e-8, so c = 2 kappa - 1 would read 1
+        for theta in (1.2e-8, 3e-8):
+            system = two_lines(theta)
+            assert system.intersection.dim == 0
+            assert friedrichs_number(system) < 1.0
+            assert dichotomy_report(system).verdict == "QUC"
 
 
 class TestReduce:
