@@ -7,8 +7,8 @@ which also bounds the principal sines of a meet) is given to what builds a
 subspace or a system, and every analysis of a system reads the policy the
 system carries.  The rank cutoff of orthonormalization is not part of it:
 it is fixed at the usual rank-revealing max(d, m) * eps * sigma_max.
-Two rules guard the inputs and outputs of the library: `_count` admits every
-count, index, dimension and seed, and `_checked_range` clamps a computed
+Three rules guard the library: `_count` admits every count, index, dimension
+and seed, `_orthonormal` every basis, and `_checked_range` clamps a computed
 quantity into its a-priori range or raises `NumericalFailure`.
 """
 
@@ -74,55 +74,45 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def _orthonormal(a: np.ndarray, tol: float) -> bool:
+    """||a^T a - I||_F <= tol for finite a; an entry beyond 1 + tol fails first, so the Gram cannot overflow."""
+    return bool(np.abs(a).max(initial=0.0) <= 1 + tol and np.linalg.norm(a.T @ a - np.eye(a.shape[1])) <= tol)
+
+
 def orthonormalize(vectors, tol: TolerancePolicy = DEFAULT_TOL, ambient_dim: int | None = None) -> np.ndarray:
     """Orthonormal basis (as columns) of the span of the given vectors.
 
-    `vectors` is a sequence of equal-length 1-D arrays, or a 2-D array with
-    one vector per row.  The result is d x k with k the numerical rank of
-    the input: its singular values above max(d, m) * eps * sigma_max for m
-    vectors.  An empty span yields a d x 0 matrix, never an error; an
-    `ambient_dim` that is not an integer >= 1, or that the vectors' length
-    contradicts, is one.  Inputs whose columns are already orthonormal are
-    returned unchanged, so stored bases round-trip exactly through
-    serialization; "already orthonormal" never means looser than the default
-    check_tol, the test every `Subspace` basis must pass, whatever the policy.
+    `vectors` is a sequence of equal-length 1-D arrays, a 2-D array with one
+    vector per row, or one vector; 0-d and 3-D inputs are refused.  The result
+    is d x k with k the numerical rank of the input: its singular values above
+    max(d, m) * eps * sigma_max for m vectors, so zero vectors, or no rows of
+    length d, give d x 0.  `[]` and a 0 x 0 array have no length and need
+    `ambient_dim`, an integer >= 1 that the vectors must not contradict.  Inputs
+    whose columns pass the default check_tol test of every `Subspace` basis (or
+    a stricter policy's) are returned unchanged, so stored bases round-trip
+    exactly through serialization.
     """
     ambient_dim = None if ambient_dim is None else _count(ambient_dim, "ambient_dim")
-    if isinstance(vectors, np.ndarray):
-        arr = vectors
-    else:
-        rows = list(vectors)
-        if not rows:
-            if ambient_dim is None:
-                raise ValueError("an empty spanning set needs an explicit ambient_dim")
-            return np.zeros((ambient_dim, 0))
-        try:
-            arr = np.asarray(rows, dtype=float)
-        except ValueError as exc:
-            raise ValueError("all vectors must share a common length") from exc
-    arr = np.asarray(arr, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[np.newaxis, :]
-    if arr.ndim != 2:
+    try:
+        arr = np.asarray(vectors if isinstance(vectors, np.ndarray) else list(vectors), dtype=float)
+    except ValueError as exc:
+        raise ValueError("all vectors must share a common length") from exc
+    if arr.ndim not in (1, 2):
         raise ValueError("expected a sequence of vectors or a 2-D array")
-    if arr.shape == (0, 0) and ambient_dim is not None:
+    if arr.shape == (0, 0) or (arr.shape == (0,) and not isinstance(vectors, np.ndarray)):  # a 1-D array is one vector
+        if ambient_dim is None:
+            raise ValueError("an empty spanning set needs an explicit ambient_dim")
         return np.zeros((ambient_dim, 0))
-    if ambient_dim is not None and arr.shape[1] != ambient_dim:
-        raise ValueError(f"vectors have length {arr.shape[1]}, but ambient_dim is {ambient_dim}")
-    if arr.shape[0] == 0:
-        return np.zeros((arr.shape[1], 0))
-    if arr.shape[1] < 1:
-        raise ValueError("vectors must have length >= 1")
-    if not np.isfinite(arr).all():
-        raise ValueError("vector entries must be finite")
-
-    a = arr.T  # columns are the input vectors, d x m
+    a = as_matrix(np.atleast_2d(arr)).T  # columns are the input vectors, d x m
     d, m = a.shape
-    if m <= d:
-        with np.errstate(over="ignore", invalid="ignore"):  # huge rows: an inf Gram fails the test
-            orthonormal = np.linalg.norm(a.T @ a - np.eye(m)) <= min(tol.check_tol, DEFAULT_TOL.check_tol)
-        if orthonormal:
-            return a.copy()
+    if ambient_dim is not None and d != ambient_dim:
+        raise ValueError(f"vectors have length {d}, but ambient_dim is {ambient_dim}")
+    if m == 0:
+        return np.zeros((d, 0))
+    if d < 1:
+        raise ValueError("vectors must have length >= 1")
+    if m <= d and _orthonormal(a, min(tol.check_tol, DEFAULT_TOL.check_tol)):
+        return a.copy()
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((d, 0))

@@ -21,7 +21,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, TolerancePolicy, _count, as_matrix, orthonormalize
+from .numerics import DEFAULT_TOL, TolerancePolicy, _count, _orthonormal, as_matrix, orthonormalize
 
 __all__ = [
     "Subspace",
@@ -48,14 +48,8 @@ class Subspace:
         b = as_matrix(self.basis)
         if b.shape[0] != d:
             raise ValueError(f"basis has {b.shape[0]} rows, expected {d}")
-        if b.shape[1] > d:
-            raise ValueError("more basis columns than the ambient dimension")
-        if b.shape[1]:
-            gram = b.T @ b
-            if np.linalg.norm(gram - np.eye(b.shape[1])) > DEFAULT_TOL.check_tol:
-                raise ValueError(
-                    "basis columns must be orthonormal; use Subspace.from_vectors for spanning sets"
-                )
+        if not _orthonormal(b, DEFAULT_TOL.check_tol):  # also refuses more than d columns
+            raise ValueError("basis columns must be orthonormal; use Subspace.from_vectors for spanning sets")
         b = b.copy()
         b.setflags(write=False)
         object.__setattr__(self, "ambient_dim", d)

@@ -72,6 +72,16 @@ class TestSystemFile:
         assert "Traceback" not in result.stderr
         assert len(result.stderr.strip().splitlines()) == 1
 
+    def test_subspaces_that_are_not_a_list_exit_one_with_that_line(self, tmp_path):
+        text = json.dumps({"dim": 2, "subspaces": "x"})
+        with pytest.raises(ValueError, match='^"subspaces" must be a list of objects$'):
+            load_system(text)
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        result = run_cli("angles", str(path))
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == ['altproj: error: "subspaces" must be a list of objects']
+
     def test_oversized_dim_is_rejected_before_any_allocation(self, tmp_path, monkeypatch, capsys):
         # in-process, so that a missing guard fails on the patched
         # constructors instead of allocating d x d matrices

@@ -22,6 +22,9 @@ def small_matrices(max_dim=64):
     return shapes.flatmap(lambda s: arrays(np.float64, s, elements=finite_entries))
 
 
+ROUND_TRIP = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 2)))[0]
+
+
 class TestTolerancePolicy:
     def test_defaults(self):
         tol = TolerancePolicy()
@@ -97,6 +100,48 @@ class TestOrthonormalize:
         basis = orthonormalize(np.random.default_rng(3).standard_normal((2, 7)))
         again = orthonormalize(basis.T)
         assert np.array_equal(basis, again)
+
+    # each spanning-set form, with and without an ambient_dim: the shape it spans, the basis it
+    # returns unchanged, or the one error it raises; a 0 x 0 array, like [], has no length to read
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("make, ambient_dim, outcome", [
+        (lambda: [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]], None, (3, 2)),
+        (lambda: ((1.0, 1.0, 0.0), (0.0, 1.0, 1.0)), 3, (3, 2)),
+        (lambda: (row for row in [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]), None, (3, 2)),
+        (lambda: np.array([3.0, 4.0]), 2, (2, 1)),
+        (lambda: [3.0, 4.0], None, (2, 1)),
+        (lambda: np.zeros(0), None, "vectors must have length >= 1"),
+        (lambda: np.array(5.0), None, "expected a sequence of vectors or a 2-D array"),
+        (lambda: np.ones((2, 2, 2)), 2, "expected a sequence of vectors or a 2-D array"),
+        (lambda: [], None, "an empty spanning set needs an explicit ambient_dim"),
+        (lambda: [], 3, (3, 0)),
+        (lambda: np.zeros((0, 0)), None, "an empty spanning set needs an explicit ambient_dim"),
+        (lambda: np.zeros((0, 0)), 3, (3, 0)),
+        (lambda: np.zeros((0, 3)), None, (3, 0)),
+        (lambda: np.zeros((0, 3)), 2, "vectors have length 3, but ambient_dim is 2"),
+        (lambda: np.zeros((2, 0)), None, "vectors must have length >= 1"),
+        (lambda: [[]], 2, "vectors have length 0, but ambient_dim is 2"),
+        (lambda: [[1.0, 0.0], [1.0, 0.0, 0.0]], None, "all vectors must share a common length"),
+        (lambda: [[np.nan, 0.0, 0.0]], 2, "matrix entries must be finite"),
+        (lambda: np.array([[np.inf, 0.0, 0.0]]), None, "matrix entries must be finite"),
+        (lambda: [[1e308, 1e308, 0.0]], None, (3, 1)),
+        (lambda: 1e200 * np.eye(2), 2, (2, 2)),
+        (lambda: [[1, 0, 0], [0, 0, 2]], 3, (3, 2)),
+        (lambda: ROUND_TRIP.T, 4, ROUND_TRIP),
+    ], ids=["list", "tuple", "generator", "1-D", "1-D-list", "1-D-empty", "0-D", "3-D", "empty-list",
+            "empty-list-ambient", "0x0", "0x0-ambient", "0xd", "0xd-contradicted", "nx0", "empty-row", "ragged",
+            "nan", "inf", "near-1e308", "huge-orthogonal", "ints", "orthonormal-round-trip"])
+    def test_each_spanning_set_form_has_one_outcome(self, make, ambient_dim, outcome):
+        if isinstance(outcome, str):
+            with pytest.raises(ValueError, match=f"^{re.escape(outcome)}$"):
+                orthonormalize(make(), ambient_dim=ambient_dim)
+            return
+        basis = orthonormalize(make(), ambient_dim=ambient_dim)
+        if isinstance(outcome, np.ndarray):
+            assert np.array_equal(basis, outcome)
+        else:
+            assert basis.shape == outcome and basis.dtype == np.float64
+            assert np.linalg.norm(basis.T @ basis - np.eye(basis.shape[1])) <= 1e-12
 
     @settings(deadline=None, max_examples=60)
     @given(small_matrices())

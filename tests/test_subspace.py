@@ -44,8 +44,16 @@ class TestSubspace:
             Subspace(0, np.zeros((0, 0)))
         with pytest.raises(ValueError, match="basis has 3 rows, expected 2"):
             Subspace(2, np.eye(3)[:, :1])
-        with pytest.raises(ValueError, match="more basis columns than the ambient dimension"):
+        with pytest.raises(ValueError, match="basis columns must be orthonormal"):
             Subspace(2, np.ones((2, 3)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("d, basis", [(2, [[1e200], [0.0]]), (3, np.full((3, 2), 1e160))],
+                             ids=["huge-column", "huge-block"])
+    def test_raw_constructor_refuses_a_huge_basis_without_overflow(self, d, basis):
+        # the Gram of such a basis overflows, so it must be refused before the Gram is formed
+        with pytest.raises(ValueError, match="basis columns must be orthonormal"):
+            Subspace(d, basis)
 
     @pytest.mark.parametrize("d", [2.7, 2.0, True, "2"])
     def test_raw_constructor_takes_an_integer_ambient_dim(self, d):
