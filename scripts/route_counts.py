@@ -11,13 +11,15 @@ One line each, as CI writes them to every run's step summary (reported, not a ga
 * the svd calls of one `bound_report(n_max=100)` on random_system(192, (64, 64, 64), 0),
   by input order (the smaller side): the operator trace takes the SVDs of thin heads once
   the powers lose rank;
+* the stacks of a 1000-pass cyclic walk on random_system(192, (64, 64, 64), 3), by shape:
+  each stack after the first is one product of a stack of rows with ((K W)^b)^T;
 * the np.dot calls and chunks of a 1000-step random walk, window 5, on random_system(9,
   (3, 3, 3), 0) and random_system(192, (64, 64, 64), 0): blocks up to
   `dynamics._SCANNED_ORDER` scan each chunk's prefix products, larger ones take one np.dot
   a step.
 
-The spies wrap numpy's functions and `dynamics._gram_chunks` by name, so a renamed private
-name fails here, and each is restored on exit.
+The spies wrap numpy's functions, `dynamics._power_blocks` and `dynamics._gram_chunks` by
+name, so a renamed private name fails here, and each is restored on exit.
 """
 
 import contextlib
@@ -52,6 +54,17 @@ def counting(calls: list):
     return spy
 
 
+def recording(values: list, read):
+    """A spy on a walk that appends read(stack) to `values` for each stack the walk yields."""
+    def spy(walk):
+        def spied(*args):
+            for stack in walk(*args):
+                values.append(read(stack))
+                yield stack
+        return spied
+    return spy
+
+
 def main() -> int:
     eigh, cholesky, solve = [], [], []
     with contextlib.ExitStack() as stack:
@@ -71,16 +84,13 @@ def main() -> int:
     print(f"bound_report(n_max=100) on random_system(192, (64, 64, 64), 0): {len(orders)} svd, "
           f"largest input order {max(orders)}; calls by order: "
           + ", ".join(f"{order}: {orders.count(order)}" for order in sorted(set(orders), reverse=True)))
-    dots, chunks = [], []
-
-    def chunk_spy(walk):
-        def spied(*args):
-            for chunk in walk(*args):
-                chunks.append(len(chunk))
-                yield chunk
-        return spied
-
-    with spying(np, "dot", counting(dots)), spying(dynamics, "_gram_chunks", chunk_spy):
+    dots, chunks, stacks = [], [], []
+    with spying(dynamics, "_power_blocks", recording(stacks, np.shape)):
+        x0 = np.random.default_rng(0).standard_normal(192)
+        dynamics.iterate_vector(random_system(192, (64, 64, 64), 3), x0, dynamics.IndexSchedule.cyclic(3), 1000)
+    print(f"cyclic walk of 1000 passes on random_system(192, (64, 64, 64), 3): {len(stacks)} stacks; by shape: "
+          + ", ".join(f"{shape}: {stacks.count(shape)}" for shape in sorted(set(stacks), reverse=True)))
+    with spying(np, "dot", counting(dots)), spying(dynamics, "_gram_chunks", recording(chunks, len)):
         for args in ((9, (3, 3, 3), 0), (192, (64, 64, 64), 0)):
             system = random_system(*args)
             dots.clear()

@@ -7,8 +7,9 @@ families of tilted planes.  As P_j = P_M + R_j R_j^T for the reduced bases R_j, 
 Gram blocks R_i^T R_j that the system holds, and a vector iteration reads R_j^T x0 besides; no route
 forms a d x d matrix, and the cyclic chain, the power traces and gamma(I - T) are computed once per
 system.  The power traces walk the powers of K W in stacks of b = isqrt(n), each (K W)^b times the one before
-(Paterson & Stockmeyer 1973), other orders in 32-step chunks of zero-padded Gram blocks, small ones by prefix
-products (Hillis & Steele 1986).  Every walk carries a power-of-two exponent, so unless a stack decays into the
+(Paterson & Stockmeyer 1973), a vector trace's stack of rows in one product; other orders walk in 32-step chunks of
+zero-padded Gram blocks, small ones by prefix products (Hillis & Steele 1986), larger ones along a flat list of
+step blocks, one np.dot a step.  Every walk carries a power-of-two exponent, so unless a stack decays into the
 subnormals by itself a 0.0 in a trace is a true error below 2^-1074.  Low-rank powers read norms from certified heads.
 """
 
@@ -141,22 +142,22 @@ def iterate_vector(system: SubspaceSystem, x0, schedule: IndexSchedule, n_max: i
     x = np.ldexp(x, exp)
     if schedule.kind == "cyclic":
         k, kw = _cyclic_chain(system)
-        walk = _power_blocks(kw, (k @ (system.reduced[0].basis.T @ x))[:, None], n_max)
+        walk = _power_blocks(kw, k @ (system.reduced[0].basis.T @ x), n_max)
     else:
         walk = _gram_chunks(system, schedule.first(n_max) - 1, x)
     return _scaled_trace(walk, _row_norms, n_max, exp)
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """The `sizes` of a vector walk: the norm of each reduced error in a stack of them.
+    """The `sizes` of a vector walk: the norm of each reduced error, a row of a stack of them.
 
     Squares of entries below 2^-537 underflow, so a stack whose last norm, its smallest, is below 2^-450 takes
     each norm again from its row shifted by the exact power of two that puts the row's top entry in [1/2, 1).
     """
-    norms = np.linalg.norm(rows[..., 0], axis=-1)
+    norms = np.sqrt(np.add.reduce(rows * rows, axis=-1))  # np.linalg.norm(rows, axis=-1), bit for bit
     if norms[-1] < 2.0 ** -450:
-        exps = np.frexp(np.abs(rows[..., 0]).max(axis=-1, initial=0.0))[1]
-        norms = np.ldexp(np.linalg.norm(np.ldexp(rows[..., 0], -exps[:, None]), axis=-1), exps)
+        exps = np.frexp(np.abs(rows).max(axis=-1, initial=0.0))[1]
+        norms = np.ldexp(np.linalg.norm(np.ldexp(rows, -exps[:, None]), axis=-1), exps)
     return norms
 
 
@@ -184,7 +185,8 @@ def _scaled_trace(walk, sizes, n_max: int, exp: int = 0) -> ConvergenceTrace:
 def _power_blocks(kw: np.ndarray, first: np.ndarray, n_max: int):
     """Yield first, kw first, ..., kw^(n_max-1) first in stacks of b = isqrt(n_max).
 
-    Each stack after the first is kw^b (formed only when due) times the one before.
+    Each stack after the first is kw^b (formed only when due) times the one before: one product
+    stack @ (kw^b)^T for a vector first, whose stacks are rows, and a batch of b for a matrix first.
     """
     b = math.isqrt(n_max)
     block = np.empty((b, *first.shape))
@@ -195,7 +197,7 @@ def _power_blocks(kw: np.ndarray, first: np.ndarray, n_max: int):
     if n_max > b:
         giant = np.linalg.matrix_power(kw, b)
         for start in range(b, n_max, b):
-            block = giant @ block[:n_max - start]
+            block = block[:n_max - start] @ giant.T if first.ndim == 1 else giant @ block[:n_max - start]
             yield block
 
 
@@ -210,14 +212,16 @@ def _gram_chunks(system: SubspaceSystem, idx: np.ndarray, x: np.ndarray):
     for i, row in enumerate(system.gram_blocks):
         for j, block in enumerate(row):
             padded[i, j, :block.shape[0], :block.shape[1]] = block
-    chunk = np.zeros((32, m, 1))
+    chunk = np.zeros((32, m))
     first = system.reduced[idx[0]].basis.T @ x
-    chunk[[0, -1], :len(first), 0] = first  # row 0 of chunk 0 is the first error, and the row before it
-    if m > _SCANNED_ORDER:  # each step one np.dot with a Gram block
-        blocks, rows, idx = [list(row) for row in padded], list(chunk), idx.tolist()
+    chunk[[0, -1], :len(first)] = first  # row 0 of chunk 0 is the first error, and the row before it
+    if m > _SCANNED_ORDER:  # each step one np.dot with a Gram block, step t's at idx[t] N + idx[t-1]
+        flat, rows = list(padded.reshape(n * n, m, m)), list(chunk)
+        blocks, prevs = [flat[k] for k in (idx[1:] * n + idx[:-1]).tolist()], rows[-1:] + rows[:-1]
         for start in range(0, len(idx), 32):
-            for t in range(start == 0, min(32, len(idx) - start)):
-                np.dot(blocks[idx[start + t]][idx[start + t - 1]], rows[t - 1], out=rows[t])
+            skip = start == 0  # row 0 of chunk 0 holds the first error
+            for block, prev, row in zip(blocks[start - 1 + skip:start + 31], prevs[skip:], rows[skip:]):
+                np.dot(block, prev, out=row)
             yield chunk[:len(idx) - start]
         return
     for start in range(0, len(idx), 256):

@@ -114,7 +114,7 @@ def orthonormalize(vectors, tol: TolerancePolicy = DEFAULT_TOL, ambient_dim: int
     if m <= d and _orthonormal(a, min(tol.check_tol, DEFAULT_TOL.check_tol)):
         return a.copy()
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
+    if s[0] == 0.0:
         return np.zeros((d, 0))
     k = int(np.count_nonzero(s > max(d, m) * np.finfo(float).eps * float(s[0])))
     return u[:, :k].copy()

@@ -476,6 +476,19 @@ class TestScaledWalks:
         assert not ((got == 0.0) & (want >= TINY)).any()
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=2 * TINY)
 
+    @staticmethod
+    def stack_shapes(monkeypatch) -> list:
+        """The shape of each stack that `_power_blocks` yields from here on, appended as it comes."""
+        shapes, power_blocks = [], dynamics._power_blocks
+
+        def spy(kw, first, n_max):
+            for block in power_blocks(kw, first, n_max):
+                shapes.append(block.shape)
+                yield block
+
+        monkeypatch.setattr(dynamics, "_power_blocks", spy)
+        return shapes
+
     def test_dense_cyclic_trace_holds_no_zero(self):
         # unscaled norms read e_546 = 4.97e-162 here, then 0.0 from n = 547 on
         system = random_system(192, (64, 64, 64), seed=3)
@@ -536,19 +549,24 @@ class TestScaledWalks:
                 iterate_vector(system, x0, IndexSchedule.random(3, seed=5, coverage_window=5), 1000)
 
     def test_walk_forms_no_stack_after_its_errors_reach_zero(self, monkeypatch):
-        stacks, power_blocks = [], dynamics._power_blocks
-
-        def spy(kw, first, n_max):
-            for block in power_blocks(kw, first, n_max):
-                stacks.append(len(block))
-                yield block
-
-        monkeypatch.setattr(dynamics, "_power_blocks", spy)
+        shapes = self.stack_shapes(monkeypatch)
         system = random_system(400, (5, 5, 5), seed=2)
         errors = iterate_vector(system, np.ones(400), IndexSchedule.cyclic(3), 1000).errors
         first_zero = int(np.argmax(errors == 0.0))
         assert 0 < first_zero < 150 and not errors[first_zero:].any()
-        assert stacks == [31] * (first_zero // 31 + 1)  # the stack holding the first 0.0 is the last
+        assert shapes == [(31, 5)] * (first_zero // 31 + 1)  # the stack holding the first 0.0 is the last
+
+    def test_a_vector_walk_stacks_rows_and_the_operator_trace_matrices(self, monkeypatch):
+        # each later stack of a vector walk is one (rows x m)(m x m) product; the operator trace's
+        # stacks of b matrices feed the batched SVD
+        shapes = self.stack_shapes(monkeypatch)
+        system = random_system(192, (64, 64, 64), seed=3)
+        x0 = np.random.default_rng(0).standard_normal(192)
+        iterate_vector(system, x0, IndexSchedule.cyclic(3), 1000)
+        assert shapes == [(31, 64)] * 32 + [(8, 64)]
+        shapes.clear()
+        operator_error_norms(system, 100)
+        assert shapes == [(10, 64, 64)] * 10
 
     @pytest.mark.parametrize("build, words", [(lambda: tilted_pairs(60), 15),
                                               (lambda: tilted_pairs(3, (0.01, 0.02, 0.03)), 8)],

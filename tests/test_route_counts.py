@@ -18,12 +18,15 @@ spec.loader.exec_module(route_counts)
 
 
 def test_one_line_per_analysis_and_every_spy_restored(capsys):
-    replaced = (np.linalg.eigh, np.linalg.cholesky, np.linalg.solve, np.linalg.svd, np.dot, dynamics._gram_chunks)
+    replaced = (np.linalg.eigh, np.linalg.cholesky, np.linalg.solve, np.linalg.svd, np.dot, dynamics._power_blocks,
+                dynamics._gram_chunks)
     assert route_counts.main() == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 6
+    assert len(lines) == 7
+    # each later stack of the cyclic vector walk is one product of 31 rows, the last of the 8 left
+    assert lines[-3].endswith(": 33 stacks; by shape: (31, 64): 32, (8, 64): 1")
     # the desk-size walk scans the prefix products of its chunks, the dense one takes one np.dot a step
     assert lines[-2].endswith(": 0 np.dot, 32 chunks")
     assert lines[-1].endswith(": 999 np.dot, 32 chunks")
-    assert (np.linalg.eigh, np.linalg.cholesky, np.linalg.solve, np.linalg.svd, np.dot,
+    assert (np.linalg.eigh, np.linalg.cholesky, np.linalg.solve, np.linalg.svd, np.dot, dynamics._power_blocks,
             dynamics._gram_chunks) == replaced
